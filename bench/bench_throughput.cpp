@@ -214,12 +214,10 @@ RunResult run_once(const u1::SimulationConfig& cfg, std::size_t threads,
 
 void print_phases(const u1::ParallelSimulation::EpochPhases& p) {
   std::printf("    phases: epochs=%llu compute=%.2fs merge=%.2fs "
-              "flush=%.2fs write=%.2fs flush_stall=%.2fs ring_stall=%.2fs "
-              "plan_rebuilds=%llu\n",
+              "flush=%.2fs write=%.2fs flush_stall=%.2fs ring_stall=%.2fs\n",
               static_cast<unsigned long long>(p.epochs), p.compute_s,
               p.merge_s, p.flush_s, p.write_s, p.flush_stall_s,
-              p.ring_stall_s,
-              static_cast<unsigned long long>(p.plan_rebuilds));
+              p.ring_stall_s);
   const double per_find = p.cal_finds > 0
                               ? static_cast<double>(p.cal_scanned) /
                                     static_cast<double>(p.cal_finds)
@@ -433,7 +431,7 @@ int main(int argc, char** argv) {
           "     \"phases\": {\"epochs\": %llu, \"compute_s\": %.3f, "
           "\"merge_s\": %.3f, \"flush_s\": %.3f, \"write_s\": %.3f, "
           "\"flush_stall_s\": %.3f, \"ring_stall_s\": %.3f, "
-          "\"plan_rebuilds\": %llu, \"cal_rebuilds\": %llu, "
+          "\"cal_rebuilds\": %llu, "
           "\"cal_finds\": %llu, \"cal_scanned\": %llu, "
           "\"cal_scanned_per_find\": %.2f}}%s\n",
           r.threads, r.wall_min(), r.wall_median(),
@@ -443,7 +441,6 @@ int main(int argc, char** argv) {
           runs.front().wall_min() / r.wall_min(), r.trace_sha1.c_str(),
           static_cast<unsigned long long>(p.epochs), p.compute_s, p.merge_s,
           p.flush_s, p.write_s, p.flush_stall_s, p.ring_stall_s,
-          static_cast<unsigned long long>(p.plan_rebuilds),
           static_cast<unsigned long long>(p.cal_rebuilds),
           static_cast<unsigned long long>(p.cal_finds),
           static_cast<unsigned long long>(p.cal_scanned),

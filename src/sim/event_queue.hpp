@@ -2,12 +2,13 @@
 // tie-breaking (events at equal timestamps pop in insertion order, so a
 // simulation is reproducible bit-for-bit given a seed).
 //
-// Two interchangeable implementations live behind the same interface and
-// produce the exact same pop order (enforced by tests):
+// Two implementations live behind the same interface and produce the
+// exact same pop order (enforced by tests):
 //
 //  - kBinaryHeap: a raw std::vector binary heap (push_heap/pop_heap with
 //    move-out pops). O(log n) per operation; the default for
-//    free-standing queues.
+//    free-standing queues and the reference the calendar queue is tested
+//    against.
 //
 //  - kCalendar: a classic calendar queue (Brown '88): B = 2^k unsorted
 //    buckets of width W simulated time; an event with timestamp t lives
@@ -18,17 +19,13 @@
 //    the push_heap/pop_heap log-factor from the simulator's hottest
 //    loop. Degenerate inputs (millions of events at one timestamp)
 //    degrade to a linear bucket scan; the DES workload has continuous
-//    timestamps where that does not occur.
-//
-// The engines pick the implementation via engine_queue_impl(), i.e. the
-// calendar queue unless U1SIM_QUEUE=heap.
+//    timestamps where that does not occur. The engine's group queues
+//    always use it.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,23 +34,6 @@
 namespace u1 {
 
 enum class QueueImpl : std::uint8_t { kBinaryHeap, kCalendar };
-
-/// The implementation the simulation engines use for their hot loops:
-/// the calendar queue, unless the U1SIM_QUEUE environment knob says
-/// "heap" (escape hatch; "calendar" forces the default explicitly).
-/// Both implementations pop in the identical order, so the knob never
-/// changes a trace — only the constant factor of the event loop.
-inline QueueImpl engine_queue_impl() noexcept {
-  static const QueueImpl impl = [] {
-    if (const char* v = std::getenv("U1SIM_QUEUE")) {
-      const std::string_view s(v);
-      if (s == "heap" || s == "binary" || s == "binary_heap")
-        return QueueImpl::kBinaryHeap;
-    }
-    return QueueImpl::kCalendar;
-  }();
-  return impl;
-}
 
 template <typename Payload>
 class EventQueue {
@@ -80,8 +60,7 @@ class EventQueue {
   };
   CalendarStats calendar_stats() const noexcept { return stats_; }
 
-  /// Switches the implementation; only legal while the queue is empty
-  /// (the engines call it once, right after constructing each group).
+  /// Switches the implementation; only legal while the queue is empty.
   void set_impl(QueueImpl impl) {
     if (!empty())
       throw std::logic_error("EventQueue::set_impl: queue not empty");

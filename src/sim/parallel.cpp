@@ -11,9 +11,6 @@
 
 #if defined(__linux__)
 #include <pthread.h>
-#include <sys/resource.h>
-#include <cstdio>
-#include <unistd.h>
 #include <sched.h>
 #endif
 
@@ -36,14 +33,6 @@ double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-ParallelSimulation::Scheduling env_scheduling() {
-  if (const char* v = std::getenv("U1SIM_SCHED")) {
-    if (std::string_view(v) == "counter")
-      return ParallelSimulation::Scheduling::kCounter;
-  }
-  return ParallelSimulation::Scheduling::kSticky;
-}
-
 bool env_pin_workers() {
   const char* v = std::getenv("U1SIM_PIN");
   return v != nullptr && *v != '\0' && std::string_view(v) != "0";
@@ -58,14 +47,6 @@ std::optional<std::size_t> env_flush_depth() {
   }
   return std::nullopt;
 }
-
-/// Sticky-plan rebuild hysteresis: a hard floor on epochs between LPT
-/// repartitions, the EMA smoothing factor for the load-drift signal,
-/// and the smoothed-drift threshold that justifies paying the cache
-/// eviction a repartition causes.
-constexpr std::uint64_t kPlanRebuildFloor = 12;
-constexpr double kPlanDriftAlpha = 0.3;
-constexpr double kPlanDriftThreshold = 0.25;
 
 void pin_thread_to_core(std::thread& thread, std::size_t core) {
 #if defined(__linux__)
@@ -88,8 +69,6 @@ ParallelSimulation::ParallelSimulation(const SimulationConfig& config,
     : config_(config),
       sink_(&sink),
       rng_(config.seed),
-      scheduling_(env_scheduling()),
-      queue_impl_(engine_queue_impl()),
       pin_workers_(env_pin_workers()),
       content_pool_(std::make_unique<ContentPool>(
           config.content_duplicate_prob, config.content_zipf_s,
@@ -197,7 +176,6 @@ void ParallelSimulation::build_groups() {
     grp->pool_view = std::make_unique<ContentPoolView>(
         *content_pool_, group_mix(config_.seed ^ 0xb10b, g));
     grp->rng = rng_.fork();
-    grp->queue.set_impl(queue_impl_);
     // Deferred symbol interning: labels get dense group-local ids during
     // the epoch (no lock, no cross-group coordination) and are merged
     // into the global table in group-index order at each barrier — the
@@ -206,7 +184,7 @@ void ParallelSimulation::build_groups() {
     if (!fault_schedule_.empty()) {
       // Same schedule everywhere; the injector's probabilistic draws are
       // group-local, so they depend only on (config, g) — never on thread
-      // interleaving. Matches the sequential engine's `fseed ^ 0x1f4a7`.
+      // interleaving.
       grp->injector = std::make_unique<FaultInjector>(
           fault_schedule_,
           group_mix(effective_fault_seed(config_) ^ 0x1f4a7, g));
@@ -286,7 +264,7 @@ void ParallelSimulation::grant_shares() {
 void ParallelSimulation::bootstrap_phase() {
   // Pre-trace history, sequential. The shared registry and pool are LIVE
   // here (proxies point straight at the global structures), so bootstrap
-  // gets full cross-group dedup exactly like the sequential engine.
+  // gets full cross-group dedup, as if all groups shared one back-end.
   for (auto& grp : groups_) {
     grp->backend->set_dedup_proxy(&shared_dedup_->global());
     grp->pool_view->set_live(content_pool_.get());
@@ -531,7 +509,6 @@ void ParallelSimulation::run_group_epoch(std::size_t group, SimTime limit) {
   while (!grp.queue.empty() && grp.queue.next_time() < limit) {
     const auto event = grp.queue.pop();
     const SimTime now = event.t;
-    ++grp.epoch_events;
     switch (event.payload.kind) {
       case Ev::Kind::kAgent: {
         ++grp.agent_wakeups;
@@ -615,7 +592,13 @@ void ParallelSimulation::run_stage_a(FlushSlot& slot) {
   const auto t0 = Clock::now();
   if (!sort_workers_.empty()) {
     {
-      const std::lock_guard<std::mutex> lock(sort_mu_);
+      std::unique_lock<std::mutex> lock(sort_mu_);
+      // A helper that picked up the previous round late still holds that
+      // round's slot and has one more sort_next_ claim to make; resetting
+      // the counter under it would hand it a chunk index of THIS round to
+      // apply to the old slot (a double remap there, an unsorted,
+      // unremapped chunk here). Let it retire first.
+      sort_cv_.wait(lock, [this] { return sort_active_ == 0; });
       sort_slot_ = &slot;
       sort_next_.store(0, std::memory_order_relaxed);
       sort_remaining_ = groups_.size();
@@ -674,7 +657,7 @@ void ParallelSimulation::run_stage_a(FlushSlot& slot) {
   }
   build_merge_plan(slot.chunks, slot.plan);
   // Guard scan over the merged permutation — the same total order the
-  // writer will emit, so detection points match the sequential engine.
+  // writer will emit, so detection points follow the trace order.
   if (guard_) {
     for (const MergeRef ref : slot.plan) {
       const TraceRecord& r = slot.chunks[ref.group][ref.offset];
@@ -733,6 +716,7 @@ void ParallelSimulation::sort_worker_loop() {
     if (sort_stop_) return;
     seen = sort_gen_;
     FlushSlot* slot = sort_slot_;
+    ++sort_active_;
     lock.unlock();
     std::size_t done = 0;
     for (std::size_t g;
@@ -743,7 +727,8 @@ void ParallelSimulation::sort_worker_loop() {
     }
     lock.lock();
     sort_remaining_ -= done;
-    if (sort_remaining_ == 0) sort_cv_.notify_all();
+    --sort_active_;
+    if (sort_remaining_ == 0 || sort_active_ == 0) sort_cv_.notify_all();
   }
 }
 
@@ -1029,69 +1014,7 @@ void ParallelSimulation::exchange_barrier(bool tail) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker pool + sticky scheduling.
-
-void ParallelSimulation::prepare_epoch_plan(std::size_t workers) {
-  if (scheduling_ != Scheduling::kSticky) return;
-  // Cost weights: last epoch's per-group event counts — a seed-
-  // deterministic signal of where the simulation currently burns time
-  // (first epoch: the scheduled queue sizes). The weights steer only the
-  // wall clock; any plan yields the identical trace.
-  std::vector<std::uint64_t> cost(groups_.size());
-  for (const std::size_t g : active_groups_) {
-    cost[g] = plan_.empty() ? groups_[g]->queue.size() + 1
-                            : groups_[g]->epoch_events + 1;
-    groups_[g]->epoch_events = 0;
-  }
-  // LPT greedy candidate: heaviest group first onto the least-loaded
-  // worker. Cheap (G log G, G = shard count), so recompute it every
-  // epoch and use its makespan as the *achievable* baseline — comparing
-  // against total/workers would force a rebuild whenever G/workers
-  // doesn't divide evenly, which is exactly the common case.
-  std::vector<std::size_t> order = active_groups_;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (cost[a] != cost[b]) return cost[a] > cost[b];
-    return a < b;
-  });
-  std::vector<std::vector<std::size_t>> candidate(workers);
-  std::vector<std::uint64_t> load(workers, 0);
-  for (const std::size_t g : order) {
-    const std::size_t w = static_cast<std::size_t>(
-        std::min_element(load.begin(), load.end()) - load.begin());
-    candidate[w].push_back(g);
-    load[w] += cost[g];
-  }
-  const std::uint64_t candidate_max =
-      *std::max_element(load.begin(), load.end());
-  if (!plan_.empty()) {
-    // Sticky hysteresis: moving a group evicts every cache line it
-    // owns, so only *sustained* drift justifies a repartition. The
-    // makespan excess over the LPT baseline is EMA-smoothed, so one
-    // bursty epoch (a DDoS ramp, a fault window) cannot trigger a
-    // rebuild, and a floor of kPlanRebuildFloor epochs between rebuilds
-    // bounds the churn even under persistent imbalance. Every input is
-    // seed-deterministic, so the rebuild count is too (tests pin it).
-    std::uint64_t current_max = 0;
-    for (const auto& assigned : plan_) {
-      std::uint64_t worker_load = 0;
-      for (const std::size_t g : assigned) worker_load += cost[g];
-      current_max = std::max(current_max, worker_load);
-    }
-    const double drift =
-        candidate_max > 0 ? static_cast<double>(current_max) /
-                                    static_cast<double>(candidate_max) -
-                                1.0
-                          : 0.0;
-    plan_drift_ema_ += kPlanDriftAlpha * (drift - plan_drift_ema_);
-    ++plan_epochs_since_rebuild_;
-    if (plan_epochs_since_rebuild_ < kPlanRebuildFloor) return;
-    if (plan_drift_ema_ <= kPlanDriftThreshold) return;
-  }
-  plan_ = std::move(candidate);
-  ++phases_.plan_rebuilds;
-  plan_drift_ema_ = 0.0;
-  plan_epochs_since_rebuild_ = 0;
-}
+// Worker pool.
 
 void ParallelSimulation::start_workers(std::size_t n) {
   epoch_start_ = std::make_unique<std::barrier<>>(
@@ -1101,24 +1024,20 @@ void ParallelSimulation::start_workers(std::size_t n) {
   stop_.store(false, std::memory_order_relaxed);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
     if (pin_workers_) pin_thread_to_core(workers_.back(), i);
   }
 }
 
-void ParallelSimulation::worker_loop(std::size_t id) {
+void ParallelSimulation::worker_loop() {
   for (;;) {
     epoch_start_->arrive_and_wait();
     if (stop_.load(std::memory_order_acquire)) return;
     try {
-      if (scheduling_ == Scheduling::kSticky) {
-        for (const std::size_t g : plan_[id]) run_group_epoch(g, epoch_limit_);
-      } else {
-        for (std::size_t idx;
-             (idx = next_group_.fetch_add(1, std::memory_order_relaxed)) <
-             active_groups_.size();) {
-          run_group_epoch(active_groups_[idx], epoch_limit_);
-        }
+      for (std::size_t idx;
+           (idx = next_group_.fetch_add(1, std::memory_order_relaxed)) <
+           active_groups_.size();) {
+        run_group_epoch(active_groups_[idx], epoch_limit_);
       }
     } catch (...) {
       const std::lock_guard<std::mutex> lock(worker_error_mu_);
@@ -1150,28 +1069,14 @@ void ParallelSimulation::stop_workers() {
   epoch_done_.reset();
 }
 
-
-namespace {
-void rss_probe(const char* tag) {
-  if (::getenv("U1SIM_RSS_DEBUG") == nullptr) return;
-  rusage ru{};
-  ::getrusage(RUSAGE_SELF, &ru);
-  std::fprintf(stderr, "[rss pid=%d] %-18s peak=%ld KiB\n",
-               static_cast<int>(::getpid()), tag,
-               static_cast<long>(ru.ru_maxrss));
-}
-}  // namespace
-
 SimulationReport ParallelSimulation::run() {
   if (ran_) throw std::logic_error("ParallelSimulation::run: already ran");
   ran_ = true;
 
   build_groups();
   register_population();
-  rss_probe("registered");
   grant_shares();
   bootstrap_phase();
-  rss_probe("bootstrap-done");
   {
     // Bootstrap records: merged and written once, pre-pipeline (the
     // threads are not running yet, so the slot runs both stages inline).
@@ -1179,10 +1084,14 @@ SimulationReport ParallelSimulation::run() {
     fill_slot(slot);
     run_stage_a(slot);
     run_stage_b(slot);
+    // The bootstrap chunk is far larger than any epoch's, and fill_slot
+    // recycles chunk capacity through the group buffers, so without this
+    // the run would hold bootstrap-sized buffers to the end.
+    for (auto& chunk : slot.chunks) std::vector<TraceRecord>().swap(chunk);
+    std::vector<MergeRef>().swap(slot.plan);
   }
   schedule_population_start();
   if (peer_ != nullptr) release_remote_groups();
-  rss_probe("setup-released");
 
   const SimTime horizon = static_cast<SimTime>(config_.days) * kDay;
   const bool pooled = threads_ > 1 && active_groups_.size() > 1;
@@ -1195,7 +1104,6 @@ SimulationReport ParallelSimulation::run() {
     const SimTime limit = std::min(epoch_end, horizon);
     const auto t0 = Clock::now();
     if (pooled) {
-      prepare_epoch_plan(n_workers);
       run_epoch_pooled(limit);
     } else {
       for (const std::size_t g : active_groups_) run_group_epoch(g, limit);
@@ -1210,7 +1118,6 @@ SimulationReport ParallelSimulation::run() {
   // queued epoch, and the records the purges emit get one final
   // synchronous flush (any purges *that* flush detects are applied too,
   // but — like the pre-ring engine — their records are not re-flushed).
-  rss_probe("epochs-done");
   join_flusher();
   // Distributed tail barrier #1: the last epoch chunk's guard feed is
   // complete (stage A joined) — ship it, collect the final purges.

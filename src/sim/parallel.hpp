@@ -1,14 +1,11 @@
-// Deterministic shard-parallel simulation engine.
+// Deterministic shard-parallel simulation engine — the one in-process
+// engine. It partitions the population into G shard groups (G =
+// backend.shards, same user-id hash the metadata router uses), gives each
+// group its own complete back-end, event queue, forked RNG stream and
+// trace buffer, and advances all groups over bounded time epochs of one
+// simulated hour:
 //
-// The sequential Simulation runs every client against one global event
-// queue; at 10k+ users the queue and the single timeline are the
-// bottleneck. ParallelSimulation partitions the population into G shard
-// groups (G = backend.shards, same user-id hash the metadata router
-// uses), gives each group its own complete back-end, event queue, forked
-// RNG stream and trace buffer, and advances all groups over bounded time
-// epochs of one simulated hour:
-//
-//   epoch e:   workers run their assigned groups up to (e+1)*1h, while
+//   epoch e:   workers run the groups up to (e+1)*1h, while
 //              the flusher thread merges + emits epoch e-1's trace
 //   barrier:   (sequential, O(new blobs + commands)) join the flusher,
 //              merge dedup op logs in group order, absorb content-pool
@@ -39,18 +36,10 @@
 // contract order within an epoch) is independent of K. The trace is
 // byte-identical for every thread count and every flush depth.
 //
-// Workers no longer claim groups from a shared counter: a sticky,
-// cost-weighted plan (weights = the previous epoch's per-group event
-// counts, which are seed-deterministic) binds each group to one worker
-// so its backend/queue/agents stay hot in that worker's cache, and is
-// rebuilt (LPT greedy) only when the EMA-smoothed load imbalance stays
-// past 25% AND at least 12 epochs have passed since the last rebuild —
-// one bursty epoch cannot thrash the plan (rebuild count pinned by
-// tests/sim/parallel_sim_test.cpp on a fixed seed).
-// U1SIM_PIN=1 additionally pins worker i to core i. The plan never
-// affects the trace — groups are isolated during an epoch — only the
-// wall clock; tests assert trace equality between sticky and counter
-// scheduling and across thread counts.
+// Workers claim whole groups from a shared counter each epoch. Groups are
+// isolated during an epoch, so which worker runs which group moves only
+// the wall clock, never the trace. U1SIM_PIN=1 additionally pins worker
+// i to core i.
 //
 // Everything a worker touches during an epoch is group-private or frozen
 // (models are const and take the caller's RNG; the shared dedup registry
@@ -91,6 +80,7 @@
 #include <vector>
 
 #include "analysis/sharded.hpp"
+#include "fault/fault_injector.hpp"
 #include "improve/anomaly_guard.hpp"
 #include "proto/control.hpp"
 #include "server/backend.hpp"
@@ -155,12 +145,6 @@ class EpochPeer {
 
 class ParallelSimulation {
  public:
-  /// How workers pick up groups each epoch.
-  enum class Scheduling : std::uint8_t {
-    kSticky,   // static cost-weighted plan, cache-affine (default)
-    kCounter,  // legacy shared atomic counter (perf baseline / tests)
-  };
-
   /// Wall-clock decomposition of the epoch pipeline, accumulated over
   /// the whole run. With the pipelined flush ring, flush_s (stage A) and
   /// write_s (stage B) overlap compute_s; the serial fraction per epoch
@@ -174,9 +158,11 @@ class ParallelSimulation {
     double write_s = 0;        // stage B: sink writes (FIFO, up to K behind)
     double flush_stall_s = 0;  // barrier wait on the previous stage A
     double ring_stall_s = 0;   // barrier wait for a free ring slot
-    std::uint64_t plan_rebuilds = 0;  // sticky-scheduler LPT repartitions
+    /// Kept for report compatibility: the engine has one scheduler and
+    /// never repartitions, so this is always 0.
+    std::uint64_t plan_rebuilds = 0;
     /// Calendar-queue bucket statistics, aggregated over every group
-    /// queue at the end of the run (all zero under U1SIM_QUEUE=heap).
+    /// queue at the end of the run.
     /// scanned/finds is the average events inspected per pop — a
     /// degenerate bucket width shows up here long before it shows up in
     /// wall clock.
@@ -200,13 +186,6 @@ class ParallelSimulation {
 
   std::size_t group_count() const noexcept { return groups_.size(); }
   std::size_t threads() const noexcept { return threads_; }
-
-  /// Scheduling/queue overrides; call before run(). Defaults come from
-  /// the environment (U1SIM_SCHED=sticky|counter, U1SIM_QUEUE=
-  /// calendar|heap) and neither choice can change the trace.
-  void set_scheduling(Scheduling s) noexcept { scheduling_ = s; }
-  Scheduling scheduling() const noexcept { return scheduling_; }
-  void set_queue_impl(QueueImpl impl) noexcept { queue_impl_ = impl; }
 
   /// Registers a sharded analyzer (call before run()). Every shard
   /// group gets a private AnalyzerShard fed that group's records during
@@ -279,7 +258,7 @@ class ParallelSimulation {
   /// for every contiguous split, so correctness never depends on it.
   static std::vector<double> estimate_group_setup_weights(
       const SimulationConfig& config);
-  /// The merged global dedup registry (what contents() was on Simulation).
+  /// The merged global dedup registry.
   const ContentRegistry& contents() const noexcept;
   /// Blobs whose last references were dropped by different groups within
   /// one epoch (GC'd at the merge, invisible to any single group).
@@ -324,15 +303,12 @@ class ParallelSimulation {
     std::unique_ptr<FaultInjector> injector;
     std::vector<std::unique_ptr<ClientAgent>> agents;
     std::vector<Bot> bots;
-    EventQueue<Ev> queue;
+    EventQueue<Ev> queue{QueueImpl::kCalendar};
     Rng rng;
     InMemorySink trace;
     /// One shard per attached analyzer (same index as analyzers_), fed
     /// by prep_chunk on whichever pipeline thread owns the chunk.
     std::vector<std::unique_ptr<AnalyzerShard>> shards;
-    /// Events executed in the current epoch — the (seed-deterministic)
-    /// cost weight the sticky scheduler plans the next epoch with.
-    std::uint64_t epoch_events = 0;
     std::uint64_t agent_wakeups = 0;
     std::uint64_t ddos_attacks = 0;
   };
@@ -346,18 +322,13 @@ class ParallelSimulation {
   void run_group_epoch(std::size_t group, SimTime limit);
 
   // Persistent worker pool (threads_ >= 2): workers park on the start
-  // barrier between epochs, execute their planned groups during an
+  // barrier between epochs, claim groups from next_group_ during an
   // epoch, and meet the coordinator on the done barrier — the epoch
   // barrier of the design.
   void start_workers(std::size_t n);
   void stop_workers();
-  void worker_loop(std::size_t id);
+  void worker_loop();
   void run_epoch_pooled(SimTime limit);
-  /// (Re)builds the sticky group->worker plan when the EMA-smoothed
-  /// cost-weighted load imbalance stays above 25% and the 12-epoch
-  /// rebuild floor has elapsed (LPT greedy, deterministic). Called
-  /// between barriers, workers parked.
-  void prepare_epoch_plan(std::size_t workers);
   /// Sequential barrier work: join stage A, dedup/pool merge, purge
   /// delivery, symbol publication, slot hand-off. The trace heavy
   /// lifting lives in run_stage_a/run_stage_b on the pipeline threads.
@@ -441,8 +412,6 @@ class ParallelSimulation {
   bool analysis_only_ = false;  // sink is a NullSink
   std::uint64_t records_flushed_ = 0;
 
-  Scheduling scheduling_ = Scheduling::kSticky;
-  QueueImpl queue_impl_ = QueueImpl::kCalendar;
   bool pin_workers_ = false;  // U1SIM_PIN
 
   // Shared, frozen-during-epoch workload machinery.
@@ -474,18 +443,11 @@ class ParallelSimulation {
   std::vector<std::thread> workers_;
   std::unique_ptr<std::barrier<>> epoch_start_;
   std::unique_ptr<std::barrier<>> epoch_done_;
-  std::atomic<std::size_t> next_group_{0};  // kCounter scheduling only
+  std::atomic<std::size_t> next_group_{0};  // index into active_groups_
   std::atomic<bool> stop_{false};
   SimTime epoch_limit_ = 0;
   std::exception_ptr worker_error_;
   std::mutex worker_error_mu_;
-  /// Sticky plan: plan_[worker] = ordered groups it runs each epoch.
-  std::vector<std::vector<std::size_t>> plan_;
-  /// Rebuild hysteresis: EMA-smoothed load drift plus a floor on epochs
-  /// between LPT repartitions, so one bursty epoch (or a small
-  /// persistent wobble) cannot thrash the cache-affine plan.
-  double plan_drift_ema_ = 0.0;
-  std::uint64_t plan_epochs_since_rebuild_ = 0;
 
   // Distributed worker mode (enable_worker_mode).
   EpochPeer* peer_ = nullptr;
@@ -534,6 +496,7 @@ class ParallelSimulation {
   FlushSlot* sort_slot_ = nullptr;
   std::atomic<std::size_t> sort_next_{0};
   std::size_t sort_remaining_ = 0;     // groups not yet prepped
+  std::size_t sort_active_ = 0;        // helpers inside a round
   bool sort_stop_ = false;
   /// Cross-group purge commands: posted by the guard scan (lane = the
   /// culprit's home group), drained at the barrier in group-index order.

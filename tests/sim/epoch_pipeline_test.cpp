@@ -1,8 +1,8 @@
 // Epoch-pipeline overhaul invariants: the k-way trace merge must
 // reproduce the old stable_sort total order exactly; the calendar queue
 // must pop in the binary heap's exact order (FIFO ties included); the
-// sticky scheduler and the pipelined flusher must leave the merged trace
-// byte-identical; and the bounded MPSC mailbox must drain
+// pipelined flusher must leave the merged trace byte-identical at every
+// ring depth and thread count; and the bounded MPSC mailbox must drain
 // deterministically.
 #include <algorithm>
 #include <cstddef>
@@ -213,8 +213,8 @@ TEST(CalendarQueue, SetImplRequiresEmptyQueue) {
 }
 
 // --------------------------------------------------------------------------
-// Engine-level invariance: scheduling policy and queue implementation are
-// pure performance knobs — the merged trace must not move a byte.
+// Engine-level invariance: the flush-ring depth is a pure performance
+// knob — the merged trace must not move a byte.
 
 SimulationConfig small_config(bool auto_guard = false) {
   SimulationConfig cfg;
@@ -226,15 +226,12 @@ SimulationConfig small_config(bool auto_guard = false) {
   return cfg;
 }
 
-std::vector<std::string> run_trace_with(
-    const SimulationConfig& cfg, std::size_t threads,
-    ParallelSimulation::Scheduling sched, QueueImpl queue,
-    std::size_t flush_depth = 0) {
+std::vector<std::string> run_trace_with(const SimulationConfig& cfg,
+                                        std::size_t threads,
+                                        std::size_t flush_depth) {
   InMemorySink sink;
   ParallelSimulation sim(cfg, sink, threads);
-  sim.set_scheduling(sched);
-  sim.set_queue_impl(queue);
-  if (flush_depth != 0) sim.set_flush_depth(flush_depth);
+  sim.set_flush_depth(flush_depth);
   sim.run();
   std::vector<std::string> lines;
   lines.reserve(sink.records().size());
@@ -257,20 +254,6 @@ void expect_traces_equal(const std::vector<std::string>& a,
     ASSERT_EQ(a[i], b[i]) << what << ": first divergence at row " << i;
 }
 
-TEST(EpochPipeline, StickySchedulingMatchesCounterAndInline) {
-  const auto cfg = small_config(/*auto_guard=*/true);
-  using S = ParallelSimulation::Scheduling;
-  const auto inline1 =
-      run_trace_with(cfg, 1, S::kSticky, QueueImpl::kCalendar);
-  const auto sticky4 =
-      run_trace_with(cfg, 4, S::kSticky, QueueImpl::kCalendar);
-  const auto counter4 =
-      run_trace_with(cfg, 4, S::kCounter, QueueImpl::kCalendar);
-  ASSERT_FALSE(inline1.empty());
-  expect_traces_equal(inline1, sticky4, "sticky@4 vs inline");
-  expect_traces_equal(inline1, counter4, "counter@4 vs inline");
-}
-
 TEST(EpochPipeline, FlushDepthDoesNotChangeTrace) {
   // The ring depth K only decides how far sink writes may lag the
   // barrier; the guard purge schedule is pinned to stage A (joined
@@ -278,19 +261,15 @@ TEST(EpochPipeline, FlushDepthDoesNotChangeTrace) {
   // byte-identical trace. auto_guard on: purge timing is exactly the
   // thing a buggy ring would move.
   const auto cfg = small_config(/*auto_guard=*/true);
-  using S = ParallelSimulation::Scheduling;
-  const auto baseline =
-      run_trace_with(cfg, 1, S::kSticky, QueueImpl::kCalendar, 1);
+  const auto baseline = run_trace_with(cfg, 1, 1);
   ASSERT_FALSE(baseline.empty());
   for (const std::size_t depth : {std::size_t{2}, std::size_t{4}}) {
-    const auto inline_k =
-        run_trace_with(cfg, 1, S::kSticky, QueueImpl::kCalendar, depth);
+    const auto inline_k = run_trace_with(cfg, 1, depth);
     expect_traces_equal(baseline, inline_k, "inline depth vs depth 1");
   }
   for (const std::size_t depth :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const auto pooled =
-        run_trace_with(cfg, 4, S::kSticky, QueueImpl::kCalendar, depth);
+    const auto pooled = run_trace_with(cfg, 4, depth);
     expect_traces_equal(baseline, pooled, "4-thread ring vs inline K=1");
   }
 }
@@ -307,17 +286,6 @@ TEST(EpochPipeline, FlushDepthClampsToValidRange) {
   EXPECT_EQ(sim.flush_depth(), 3u);
 }
 
-TEST(EpochPipeline, QueueImplDoesNotChangeTrace) {
-  const auto cfg = small_config();
-  using S = ParallelSimulation::Scheduling;
-  const auto heap2 =
-      run_trace_with(cfg, 2, S::kSticky, QueueImpl::kBinaryHeap);
-  const auto cal2 =
-      run_trace_with(cfg, 2, S::kSticky, QueueImpl::kCalendar);
-  ASSERT_FALSE(heap2.empty());
-  expect_traces_equal(heap2, cal2, "calendar vs heap");
-}
-
 TEST(EpochPipeline, PhaseBreakdownCoversEveryEpoch) {
   const auto cfg = small_config();
   InMemorySink sink;
@@ -332,9 +300,9 @@ TEST(EpochPipeline, PhaseBreakdownCoversEveryEpoch) {
   EXPECT_GE(p.merge_s, 0.0);
   EXPECT_GE(p.flush_stall_s, 0.0);
   EXPECT_GE(p.ring_stall_s, 0.0);
-  EXPECT_GE(p.plan_rebuilds, 1u);  // the first epoch always builds a plan
-  // The default engine queue is the calendar; its bucket stats must have
-  // accumulated over the run.
+  EXPECT_EQ(p.plan_rebuilds, 0u);  // one scheduler, never repartitions
+  // The engine's group queues are calendar queues; their bucket stats
+  // must have accumulated over the run.
   EXPECT_GT(p.cal_finds, 0u);
   EXPECT_GT(p.cal_scanned, 0u);
 }

@@ -1,9 +1,8 @@
 // Determinism oracle for fault injection: with a fault plan armed, the
-// merged trace must stay byte-identical for every thread count, the
-// sequential engine must complete a faulted run with degraded-mode
-// activity on record, and a plan whose windows sit beyond the horizon
-// must leave the trace untouched (the fault subsystem consumes no RNG
-// outside active windows).
+// merged trace must stay byte-identical for every thread count, the run
+// must complete with degraded-mode activity on record, and a plan whose
+// windows sit beyond the horizon must leave the trace untouched (the
+// fault subsystem consumes no RNG outside active windows).
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -12,7 +11,6 @@
 
 #include "fault/fault_plan.hpp"
 #include "sim/parallel.hpp"
-#include "sim/simulation.hpp"
 #include "trace/sink.hpp"
 
 namespace u1 {
@@ -39,9 +37,10 @@ SimulationConfig faulted_config() {
   return cfg;
 }
 
-std::vector<std::string> parallel_trace(const SimulationConfig& cfg,
-                                        std::size_t threads,
-                                        SimulationReport* report = nullptr) {
+std::vector<std::string> parallel_trace(
+    const SimulationConfig& cfg, std::size_t threads,
+    SimulationReport* report = nullptr,
+    std::uint64_t* fault_records = nullptr) {
   InMemorySink sink;
   ParallelSimulation sim(cfg, sink, threads);
   const SimulationReport r = sim.run();
@@ -49,6 +48,8 @@ std::vector<std::string> parallel_trace(const SimulationConfig& cfg,
   std::vector<std::string> lines;
   lines.reserve(sink.records().size());
   for (const TraceRecord& rec : sink.records()) {
+    if (fault_records != nullptr && rec.type == RecordType::kFault)
+      ++*fault_records;
     std::string line;
     for (const std::string& field : rec.to_csv()) {
       line += field;
@@ -62,7 +63,8 @@ std::vector<std::string> parallel_trace(const SimulationConfig& cfg,
 TEST(FaultSimulation, FaultedTraceIdenticalAcrossThreadCounts) {
   const auto cfg = faulted_config();
   SimulationReport r1, r2, r4, r8;
-  const auto t1 = parallel_trace(cfg, 1, &r1);
+  std::uint64_t fault_records = 0;
+  const auto t1 = parallel_trace(cfg, 1, &r1, &fault_records);
   const auto t2 = parallel_trace(cfg, 2, &r2);
   const auto t4 = parallel_trace(cfg, 4, &r4);
   const auto t8 = parallel_trace(cfg, 8, &r8);
@@ -85,30 +87,19 @@ TEST(FaultSimulation, FaultedTraceIdenticalAcrossThreadCounts) {
   EXPECT_EQ(r1.backend.s3_errors, r8.backend.s3_errors);
   EXPECT_EQ(r1.backend.write_rejects, r8.backend.write_rejects);
   EXPECT_EQ(r1.backend.auth_failures, r8.backend.auth_failures);
-}
-
-TEST(FaultSimulation, SequentialFaultedRunCompletesWithActivity) {
-  const auto cfg = faulted_config();
-  InMemorySink sink;
-  Simulation sim(cfg, sink);
-  const SimulationReport report = sim.run();  // must not throw
 
   // Six windows, each with a begin and an end edge inside the horizon.
-  EXPECT_EQ(report.fault_events, 12u);
-  std::uint64_t fault_records = 0;
-  for (const TraceRecord& r : sink.records()) {
-    if (r.type == RecordType::kFault) ++fault_records;
-  }
+  EXPECT_EQ(r1.fault_events, 12u);
   EXPECT_EQ(fault_records, 12u);
   // The plan actually bites: some degraded-mode path fired.
-  EXPECT_GT(report.backend.sessions_dropped + report.backend.s3_errors +
-                report.backend.auth_failures + report.backend.write_rejects +
-                report.backend.interrupted_uploads,
+  EXPECT_GT(r1.backend.sessions_dropped + r1.backend.s3_errors +
+                r1.backend.auth_failures + r1.backend.write_rejects +
+                r1.backend.interrupted_uploads,
             0u);
   // The population survives the faults: clients keep working after the
   // last window closes.
-  EXPECT_GT(report.backend.uploads, 0u);
-  EXPECT_GT(report.backend.sessions_opened, 0u);
+  EXPECT_GT(r1.backend.uploads, 0u);
+  EXPECT_GT(r1.backend.sessions_opened, 0u);
 }
 
 TEST(FaultSimulation, FaultSeedSelectsDifferentOutcomes) {

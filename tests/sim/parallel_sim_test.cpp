@@ -11,7 +11,6 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/parallel.hpp"
-#include "sim/simulation.hpp"
 #include "trace/sink.hpp"
 
 namespace u1 {
@@ -114,8 +113,8 @@ TEST(ParallelSimulation, RepeatedRunsAreIdentical) {
 TEST(ParallelSimulation, EpochMergeKeepsRecordsSorted) {
   // Within each merged epoch records are sorted by t; across epoch
   // boundaries only bounded service-time lookahead (storage-done records
-  // stamped at t + service) may run ahead, exactly as in the sequential
-  // engine. Any larger regression means the merge is broken.
+  // stamped at t + service) may run ahead. Any larger regression means
+  // the merge is broken.
   InMemorySink sink;
   ParallelSimulation sim(small_config(), sink, 2);
   sim.run();
@@ -148,29 +147,6 @@ TEST(ParallelSimulation, ReportCountersMatchTrace) {
   }
   EXPECT_EQ(report.backend.sessions_opened, opens);
   EXPECT_EQ(report.users, 200u);
-}
-
-TEST(ParallelSimulation, StickyPlanRebuildHysteresis) {
-  // The sticky scheduler may only repartition when the EMA-smoothed
-  // load drift stays past threshold AND at least 12 epochs passed since
-  // the last rebuild. On a fixed seed the rebuild count is therefore a
-  // pure function of the config: pin it against itself across runs and
-  // against the floor-derived ceiling so a future change to the
-  // hysteresis shows up here instead of as silent churn.
-  const auto cfg = small_config();
-  InMemorySink s1, s2;
-  ParallelSimulation a(cfg, s1, 4);
-  a.set_scheduling(ParallelSimulation::Scheduling::kSticky);
-  a.run();
-  ParallelSimulation b(cfg, s2, 4);
-  b.set_scheduling(ParallelSimulation::Scheduling::kSticky);
-  b.run();
-
-  EXPECT_EQ(a.phases().plan_rebuilds, b.phases().plan_rebuilds);
-  EXPECT_GE(a.phases().plan_rebuilds, 1u);  // the initial LPT build
-  // Floor of 12 epochs between rebuilds bounds the count from above.
-  const std::uint64_t epochs = a.phases().epochs;
-  EXPECT_LE(a.phases().plan_rebuilds, 1 + epochs / 12);
 }
 
 TEST(EventQueue, ReserveAndCapacity) {

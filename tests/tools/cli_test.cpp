@@ -196,6 +196,31 @@ TEST_F(CliPipeline, BinaryFormatConvertsToIdenticalCsv) {
     std::filesystem::remove_all(d);
 }
 
+TEST_F(CliPipeline, GenerateIsThreadCountInvariant) {
+  // One configuration, one trace: the worker-thread count moves only the
+  // wall clock, in both trace formats.
+  for (const char* format : {"csv", "bin"}) {
+    std::string dirs[2];
+    const char* threads[2] = {"1", "3"};
+    for (int i = 0; i < 2; ++i) {
+      dirs[i] = dir_ + "_" + format + "_t" + threads[i];
+      std::filesystem::remove_all(dirs[i]);
+      std::ostringstream out, err;
+      ASSERT_EQ(run({"generate", "--out", dirs[i], "--users", "150", "--days",
+                     "2", "--seed", "5", "--threads", threads[i], "--format",
+                     format},
+                    out, err),
+                0)
+          << err.str();
+    }
+    const std::string one = dir_bytes(dirs[0]);
+    EXPECT_FALSE(one.empty()) << format;
+    EXPECT_TRUE(one == dir_bytes(dirs[1]))
+        << format << ": --threads 1 and --threads 3 traces differ";
+    for (const auto& d : dirs) std::filesystem::remove_all(d);
+  }
+}
+
 TEST_F(CliPipeline, ConvertRejectsBadArguments) {
   std::ostringstream out, err;
   EXPECT_NE(run({"convert"}, out, err), 0);

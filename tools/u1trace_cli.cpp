@@ -17,7 +17,6 @@
 #include "analysis/traffic.hpp"
 #include "analysis/users.hpp"
 #include "sim/parallel.hpp"
-#include "sim/simulation.hpp"
 #include "trace/binlog.hpp"
 #include "trace/logfile.hpp"
 #include "util/strings.hpp"
@@ -153,8 +152,8 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
   }
   cfg.fault_seed =
       static_cast<std::uint64_t>(args.int_flag("fault-seed").value_or(0));
-  const auto threads =
-      static_cast<std::size_t>(args.int_flag("threads").value_or(1));
+  const auto threads = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, args.int_flag("threads").value_or(1)));
   // --format wins; otherwise U1SIM_TRACE_FORMAT; otherwise CSV.
   TraceFormat format = trace_format_from_env();
   if (const auto f = args.flag("format")) {
@@ -168,19 +167,12 @@ int cmd_generate(const Args& args, std::ostream& out, std::ostream& err) {
   out << "# generating: users=" << cfg.users << " days=" << cfg.days
       << " seed=" << cfg.seed << " ddos=" << (cfg.enable_ddos ? "on" : "off")
       << " faults=" << (cfg.faults.empty() ? "off" : "on")
-      << " threads=" << (threads == 0 ? std::size_t{1} : threads)
-      << " engine=" << (threads > 1 ? "shard-parallel" : "sequential")
+      << " threads=" << threads
       << " format=" << to_string(format) << "\n";
   const std::unique_ptr<LogfileSink> writer = make_logfile_writer(*dir, format);
-  SimulationReport report;
-  if (threads > 1) {
-    // Shard-parallel engine: same trace bytes as sequential, any T.
-    ParallelSimulation sim(cfg, *writer, threads);
-    report = sim.run();
-  } else {
-    Simulation sim(cfg, *writer);
-    report = sim.run();
-  }
+  // The thread count moves only the wall clock: same trace bytes for any T.
+  ParallelSimulation sim(cfg, *writer, threads);
+  const SimulationReport report = sim.run();
   writer->close();
   out << "# done: " << report.backend.sessions_opened << " sessions, "
       << report.backend.uploads << " uploads, " << report.backend.downloads
@@ -279,7 +271,13 @@ int cmd_analyze(const Args& args, std::ostream& out, std::ostream& err) {
     out << "download: " << traffic.download_ops() << " ops, "
         << format_bytes(static_cast<double>(traffic.download_bytes()))
         << "\n";
-    out << "R/W ratio median: " << traffic.rw_boxplot().median << "\n";
+    // A short or quiet trace can have no hour with uploads; that is a
+    // valid trace, not an error.
+    out << "R/W ratio median: ";
+    if (traffic.rw_ratios_hourly().empty())
+      out << "n/a (no upload hours)\n";
+    else
+      out << traffic.rw_boxplot().median << "\n";
     out << "update ops share: " << traffic.update_op_fraction() << "\n";
     out << "update traffic share: " << traffic.update_traffic_fraction()
         << "\n";
