@@ -29,11 +29,15 @@
 //       (default) hashes the historical CSV row stream — the SHA every
 //       engine version must reproduce. bin writes real .u1b files to a
 //       scratch directory and hashes the output bytes (sorted by name),
-//       the determinism oracle for the binary format; write_s then
-//       measures binary serialization.
+//       the determinism oracle for the binary format. Its write_s then
+//       covers only buffering records per day; each run also reports
+//       retire_busy_s (the writer's retire tasks that encoded and wrote
+//       days during the run) and close_s (writing the remaining days).
 //   U1SIM_CAL_SCAN_BAND=X        calendar-queue regression band: the run
 //       fails (exit 1) if scanned-per-find exceeds X (default 24.0) on
 //       any run with enough finds to be meaningful.
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -105,6 +109,12 @@ struct RunResult {
   std::uint64_t bytes = 0;  // serialized trace bytes (rows or .u1b files)
   std::string trace_sha1;
   std::size_t flush_depth = 0;  // ring depth K the engine resolved
+  // bin mode, first repeat: the encode and file I/O that day retirement
+  // moved off stage B, which phases.write_s therefore no longer covers —
+  // the summed busy time of the retire tasks that finished during the
+  // run, then the wall time of close(), which writes the remaining days.
+  double retire_busy_s = 0.0;
+  double close_s = 0.0;
   u1::ParallelSimulation::EpochPhases phases;  // first repeat
   u1::SimulationReport report;
 
@@ -186,7 +196,9 @@ RunResult run_once(const u1::SimulationConfig& cfg, std::size_t threads,
       const auto t0 = std::chrono::steady_clock::now();
       u1::ParallelSimulation sim(cfg, writer, threads);
       const u1::SimulationReport report = sim.run();
-      writer.close();  // trailing stripes + sidecars belong to the run
+      const auto tc = std::chrono::steady_clock::now();
+      const double retire_busy_s = writer.retire_busy_s();
+      writer.close();  // the last days' logfiles belong to the run
       const auto t1 = std::chrono::steady_clock::now();
       out.walls.push_back(std::chrono::duration<double>(t1 - t0).count());
       records = writer.records_written();
@@ -197,6 +209,8 @@ RunResult run_once(const u1::SimulationConfig& cfg, std::size_t threads,
         out.flush_depth = sim.flush_depth();
         out.phases = sim.phases();
         out.report = report;
+        out.close_s = std::chrono::duration<double>(t1 - tc).count();
+        out.retire_busy_s = retire_busy_s;
       }
     }
     if (rep == 0) {
@@ -210,6 +224,16 @@ RunResult run_once(const u1::SimulationConfig& cfg, std::size_t threads,
     }
   }
   return out;
+}
+
+/// CPUs this process may run on (what `nproc` prints): fewer than
+/// hardware_concurrency when a cgroup or affinity mask limits the run.
+int usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0)
+    return static_cast<int>(std::thread::hardware_concurrency());
+  return CPU_COUNT(&set);
 }
 
 void print_phases(const u1::ParallelSimulation::EpochPhases& p) {
@@ -336,7 +360,11 @@ int main(int argc, char** argv) {
                 static_cast<double>(r.records) / r.wall_min(),
                 r.trace_sha1.c_str());
     print_phases(r.phases);
+    if (format == u1::TraceFormat::kBinary)
+      std::printf("    writer: retire_busy=%.2fs close=%.2fs\n",
+                  r.retire_busy_s, r.close_s);
   }
+  std::filesystem::remove_all(scratch_base);  // each run removed its own
 
   bool identical = true;
   for (const RunResult& r : runs) {
@@ -386,6 +414,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"cal_scan_band\": %.2f,\n", cal_band);
     std::fprintf(f, "  \"cal_band_ok\": %s,\n", cal_ok ? "true" : "false");
     std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hw);
+    std::fprintf(f, "  \"nproc\": %d,\n", usable_cpus());
     std::fprintf(f, "  \"flush_depth\": %zu,\n",
                  runs.empty() ? std::size_t{0} : runs.front().flush_depth);
     std::fprintf(f, "  \"single_core_host\": %s,\n",
@@ -425,7 +454,7 @@ int main(int argc, char** argv) {
           f,
           "    {\"threads\": %zu, \"wall_seconds_min\": %.3f, "
           "\"wall_seconds_median\": %.3f, \"records\": %llu, "
-          "\"bytes\": %llu, "
+          "\"bytes\": %llu, \"close_s\": %.3f, \"retire_busy_s\": %.3f, "
           "\"records_per_sec\": %.0f, \"speedup_vs_1t\": %.3f, "
           "\"trace_sha1\": \"%s\",\n"
           "     \"phases\": {\"epochs\": %llu, \"compute_s\": %.3f, "
@@ -436,8 +465,8 @@ int main(int argc, char** argv) {
           "\"cal_scanned_per_find\": %.2f}}%s\n",
           r.threads, r.wall_min(), r.wall_median(),
           static_cast<unsigned long long>(r.records),
-          static_cast<unsigned long long>(r.bytes),
-          static_cast<double>(r.records) / r.wall_min(),
+          static_cast<unsigned long long>(r.bytes), r.close_s,
+          r.retire_busy_s, static_cast<double>(r.records) / r.wall_min(),
           runs.front().wall_min() / r.wall_min(), r.trace_sha1.c_str(),
           static_cast<unsigned long long>(p.epochs), p.compute_s, p.merge_s,
           p.flush_s, p.write_s, p.flush_stall_s, p.ring_stall_s,

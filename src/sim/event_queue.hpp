@@ -25,7 +25,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -59,13 +58,6 @@ class EventQueue {
     std::uint64_t scanned = 0;   // events inspected across all finds
   };
   CalendarStats calendar_stats() const noexcept { return stats_; }
-
-  /// Switches the implementation; only legal while the queue is empty.
-  void set_impl(QueueImpl impl) {
-    if (!empty())
-      throw std::logic_error("EventQueue::set_impl: queue not empty");
-    impl_ = impl;
-  }
 
   /// Pre-sizes the backing vector (e.g. one slot per scheduled agent).
   void reserve(std::size_t n) {

@@ -4,6 +4,8 @@
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
+#include <span>
 #include <stdexcept>
 
 #include "util/sim_time.hpp"
@@ -101,6 +103,7 @@ class Xxh64 {
   }
 
   void update(const std::uint8_t* data, std::size_t len) noexcept {
+    if (len == 0) return;  // `data` may be null (an empty vector's data())
     len_ += len;
     if (buf_used_ + len < kBlock) {
       std::memcpy(buf_ + buf_used_, data, len);
@@ -263,7 +266,7 @@ struct Cursor {
 //  16. rpc_op           u8[n]
 //  17. flags            u8[n] (bit0 update, bit1 dir, bit2 dedup, bit3 failed)
 
-std::uint8_t* encode_uuid_column(const std::vector<TraceRecord>& recs,
+std::uint8_t* encode_uuid_column(const TraceRecord* recs,
                                  const std::vector<std::uint32_t>& idx,
                                  Uuid TraceRecord::* member,
                                  std::uint8_t* p) {
@@ -300,7 +303,7 @@ std::uint8_t pack_flags(const TraceRecord& r) noexcept {
       (r.deduplicated ? 4u : 0u) | (r.failed ? 8u : 0u));
 }
 
-void encode_segment(const std::vector<TraceRecord>& recs,
+void encode_segment(const TraceRecord* recs,
                     const std::vector<std::uint32_t>& idx, SymbolDict& dict,
                     std::vector<std::uint8_t>& out) {
   // One worst-case reservation, then unchecked raw-pointer writes: the
@@ -617,166 +620,111 @@ bool is_binary_logfile_magic(const unsigned char* p, std::size_t n) noexcept {
 
 // --- writer -----------------------------------------------------------------
 
-struct BinaryLogfileWriter::FileState {
-  std::ofstream out;
-  std::string logname;
-  std::uint8_t machine = 0;
-  std::uint16_t process = 0;
-  std::uint64_t record_count = 0;
-  std::uint32_t stripe_count = 0;
-  std::uint64_t payload_bytes = 0;
-  Xxh64 checksum;  // running digest over every payload byte written
-  SymbolDict dict;
-  std::vector<TraceRecord> pending;  // current stripe, arrival order
-};
+namespace {
 
-BinaryLogfileWriter::BinaryLogfileWriter(std::filesystem::path directory)
-    : dir_(std::move(directory)) {
-  std::filesystem::create_directories(dir_);
-}
-
-BinaryLogfileWriter::~BinaryLogfileWriter() {
-  try {
-    close();
-  } catch (...) {
-    // Destructors must not throw; an explicit close() reports errors.
-  }
-}
-
-BinaryLogfileWriter::FileState& BinaryLogfileWriter::file_for(
-    const TraceRecord& record) {
-  // (machine, process, day) packs into one integer key, so the hot path
-  // never materializes the logname string the CSV writer rebuilds per
-  // record. The day index must mirror trace_date(): pre-trace bootstrap
-  // records (t < 0) all land on the epoch date, so they must share the
-  // epoch file — a second key for the same logname would clobber it.
-  const std::int64_t day = record.t < 0 ? 0 : record.t / kDay;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(record.machine.value) << 48) |
-      (static_cast<std::uint64_t>(record.process.value) << 32) |
-      static_cast<std::uint32_t>(day);
-  const auto it = files_.find(key);
-  if (it != files_.end()) return *it->second;
-
-  auto file = std::make_unique<FileState>();
-  file->logname = record.logname();
-  file->machine = static_cast<std::uint8_t>(record.machine.value);
-  file->process = record.process.value;
-  const std::filesystem::path path =
-      dir_ / (file->logname + std::string(kBinaryLogfileExt));
-  file->out.open(path, std::ios::binary | std::ios::trunc);
-  if (!file->out.is_open())
+/// Writes `chunks` back to back as the whole content of `path`.
+void write_whole_file(const std::filesystem::path& path,
+                      std::initializer_list<std::span<const std::uint8_t>>
+                          chunks) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out.is_open())
     throw std::runtime_error("BinaryLogfileWriter: cannot open " +
                              path.string());
-  const std::array<char, kFileHeaderBytes> placeholder{};
-  file->out.write(placeholder.data(), placeholder.size());
-  bytes_written_ += kFileHeaderBytes;
-  file->pending.reserve(stripe_records_);
-  return *files_.emplace(key, std::move(file)).first->second;
+  for (const auto chunk : chunks)
+    out.write(reinterpret_cast<const char*>(chunk.data()),
+              static_cast<std::streamsize>(chunk.size()));
+  out.close();
+  if (!out)
+    throw std::runtime_error("BinaryLogfileWriter: write failed for " +
+                             path.string());
 }
 
-void BinaryLogfileWriter::append(const TraceRecord& record) {
-  FileState& file = file_for(record);
-  file.pending.push_back(record);
-  ++records_;
-  if (file.pending.size() >= stripe_records_) flush_stripe(file);
+}  // namespace
+
+BinaryLogfileWriter::BinaryLogfileWriter(std::filesystem::path directory)
+    : LogfileSink(std::move(directory),
+                  [](const std::filesystem::path& dir,
+                     std::span<const TraceRecord> records) {
+                    return write_binary_logfile(dir, records);
+                  }) {}
+
+void BinaryLogfileWriter::set_stripe_records(std::size_t n) {
+  set_file_writer([n](const std::filesystem::path& dir,
+                      std::span<const TraceRecord> records) {
+    return write_binary_logfile(dir, records, n);
+  });
 }
 
-void BinaryLogfileWriter::append_batch(const TraceRecord* records,
-                                       std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) append(records[i]);
-}
+std::uint64_t write_binary_logfile(const std::filesystem::path& directory,
+                                   std::span<const TraceRecord> records,
+                                   std::size_t stripe_records) {
+  if (records.empty()) return 0;
+  stripe_records = std::max<std::size_t>(stripe_records, 1);
 
-void BinaryLogfileWriter::flush_stripe(FileState& file) {
-  if (file.pending.empty()) return;
-  const auto count = static_cast<std::uint32_t>(file.pending.size());
-
+  // Every stripe — header, type sequence, segments — goes into one
+  // payload buffer, so the file header is final before it is written.
+  // The buffer is reused across the calling thread's files.
+  thread_local std::vector<std::uint8_t> payload;
+  payload.clear();
+  SymbolDict dict;
   std::array<std::vector<std::uint32_t>, kRecordTypeCount> idx;
-  for (std::uint32_t i = 0; i < count; ++i)
-    idx[static_cast<std::size_t>(file.pending[i].type)].push_back(i);
+  std::uint32_t stripe_count = 0;
+  for (std::size_t first = 0; first < records.size();
+       first += stripe_records) {
+    const TraceRecord* recs = records.data() + first;
+    const auto count = static_cast<std::uint32_t>(
+        std::min(stripe_records, records.size() - first));
+    for (auto& v : idx) v.clear();
+    for (std::uint32_t i = 0; i < count; ++i)
+      idx[static_cast<std::size_t>(recs[i].type)].push_back(i);
 
-  scratch_.clear();
-  for (std::uint32_t i = 0; i < count; ++i)
-    scratch_.push_back(static_cast<std::uint8_t>(file.pending[i].type));
-  for (std::size_t t = 0; t < kRecordTypeCount; ++t)
-    if (!idx[t].empty())
-      encode_segment(file.pending, idx[t], file.dict, scratch_);
+    const std::size_t header_at = payload.size();
+    payload.resize(header_at + kStripeHeaderBytes);
+    for (std::uint32_t i = 0; i < count; ++i)
+      payload.push_back(static_cast<std::uint8_t>(recs[i].type));
+    for (std::size_t t = 0; t < kRecordTypeCount; ++t)
+      if (!idx[t].empty()) encode_segment(recs, idx[t], dict, payload);
 
-  std::array<std::uint8_t, kStripeHeaderBytes> header{};
-  put_le32(header.data(), static_cast<std::uint32_t>(scratch_.size()));
-  put_le32(header.data() + 4, count);
-  for (std::size_t t = 0; t < kRecordTypeCount; ++t)
-    put_le32(header.data() + 8 + 4 * t,
-             static_cast<std::uint32_t>(idx[t].size()));
+    std::uint8_t* header = payload.data() + header_at;
+    put_le32(header, static_cast<std::uint32_t>(payload.size() - header_at -
+                                                kStripeHeaderBytes));
+    put_le32(header + 4, count);
+    for (std::size_t t = 0; t < kRecordTypeCount; ++t)
+      put_le32(header + 8 + 4 * t, static_cast<std::uint32_t>(idx[t].size()));
+    ++stripe_count;
+  }
 
-  file.out.write(reinterpret_cast<const char*>(header.data()),
-                 static_cast<std::streamsize>(header.size()));
-  file.out.write(reinterpret_cast<const char*>(scratch_.data()),
-                 static_cast<std::streamsize>(scratch_.size()));
-  file.checksum.update(header.data(), header.size());
-  file.checksum.update(scratch_.data(), scratch_.size());
-  file.payload_bytes += header.size() + scratch_.size();
-  bytes_written_ += header.size() + scratch_.size();
-  file.record_count += count;
-  file.stripe_count += 1;
-  file.pending.clear();
-}
-
-void BinaryLogfileWriter::finalize(FileState& file) {
-  flush_stripe(file);
-
+  const TraceRecord& front = records.front();
   std::array<std::uint8_t, kFileHeaderBytes> header{};
   std::memcpy(header.data(), kLogMagic.data(), kLogMagic.size());
   put_le32(header.data() + 8, kFormatVersion);
   put_le32(header.data() + 12, kFileHeaderBytes);
-  header[16] = file.machine;
-  put_le16(header.data() + 18, file.process);
-  put_le32(header.data() + 20, file.stripe_count);
-  put_le64(header.data() + 24, file.record_count);
-  put_le64(header.data() + 32, file.payload_bytes);
-  put_le64(header.data() + 40, file.checksum.digest());
-  file.out.seekp(0);
-  file.out.write(reinterpret_cast<const char*>(header.data()),
-                 static_cast<std::streamsize>(header.size()));
-  file.out.flush();
-  if (!file.out)
-    throw std::runtime_error("BinaryLogfileWriter: write failed for " +
-                             file.logname);
+  header[16] = static_cast<std::uint8_t>(front.machine.value);
+  put_le16(header.data() + 18, front.process.value);
+  put_le32(header.data() + 20, stripe_count);
+  put_le64(header.data() + 24, records.size());
+  put_le64(header.data() + 32, payload.size());
+  put_le64(header.data() + 40, xxh64(payload.data(), payload.size()));
+  const std::string logname = front.logname();
+  write_whole_file(directory / (logname + std::string(kBinaryLogfileExt)),
+                   {header, payload});
 
   // Symbol sidecar: the strings this file references, in local-id order.
-  std::vector<std::uint8_t> payload;
-  for (const Symbol global : file.dict.globals()) {
+  std::vector<std::uint8_t> symbols;
+  for (const Symbol global : dict.globals()) {
     const std::string_view text = global_symbols().resolve(global);
-    put_varint(payload, text.size());
-    payload.insert(payload.end(), text.begin(), text.end());
+    put_varint(symbols, text.size());
+    symbols.insert(symbols.end(), text.begin(), text.end());
   }
   std::array<std::uint8_t, kSidecarHeaderBytes> sym_header{};
   std::memcpy(sym_header.data(), kSymMagic.data(), kSymMagic.size());
   put_le32(sym_header.data() + 8, kFormatVersion);
-  put_le32(sym_header.data() + 12,
-           static_cast<std::uint32_t>(file.dict.size()));
-  put_le64(sym_header.data() + 16, payload.size());
-  put_le64(sym_header.data() + 24, xxh64(payload.data(), payload.size()));
-  const std::filesystem::path path =
-      dir_ / (file.logname + std::string(kSymbolSidecarExt));
-  std::ofstream sidecar(path, std::ios::binary | std::ios::trunc);
-  if (!sidecar.is_open())
-    throw std::runtime_error("BinaryLogfileWriter: cannot open " +
-                             path.string());
-  sidecar.write(reinterpret_cast<const char*>(sym_header.data()),
-                static_cast<std::streamsize>(sym_header.size()));
-  sidecar.write(reinterpret_cast<const char*>(payload.data()),
-                static_cast<std::streamsize>(payload.size()));
-  sidecar.flush();
-  if (!sidecar)
-    throw std::runtime_error("BinaryLogfileWriter: write failed for " +
-                             path.string());
-  bytes_written_ += sym_header.size() + payload.size();
-}
-
-void BinaryLogfileWriter::close() {
-  for (auto& [key, file] : files_) finalize(*file);
-  files_.clear();
+  put_le32(sym_header.data() + 12, static_cast<std::uint32_t>(dict.size()));
+  put_le64(sym_header.data() + 16, symbols.size());
+  put_le64(sym_header.data() + 24, xxh64(symbols.data(), symbols.size()));
+  write_whole_file(directory / (logname + std::string(kSymbolSidecarExt)),
+                   {sym_header, symbols});
+  return header.size() + payload.size() + sym_header.size() + symbols.size();
 }
 
 // --- reader -----------------------------------------------------------------

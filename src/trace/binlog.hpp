@@ -26,12 +26,14 @@
 //                segment), presence bitmap + raw bytes for UUID/SHA-1
 //                columns, plain u8 arrays for the enum/flag columns
 //
-// Records are buffered per file and flushed as a stripe every
-// kStripeRecords appends, so writer memory stays bounded no matter how
-// long the run is. `machine` and `process` are file constants (the file
-// IS one process-day) and live in the header, never per record; `type`
-// is a segment constant. The SHA-1 in the header covers every byte after
-// the header and is patched in at close, together with the counts.
+// A file is written whole (write_binary_logfile): its records, in
+// arrival order, are cut into a stripe every kStripeRecords records and
+// encoded into one buffer, so every count and the checksum are known
+// before the header — the first bytes of the file — is written.
+// `machine` and `process` are file constants (the file IS one
+// process-day) and live in the header, never per record; `type` is a
+// segment constant. The XXH64 checksum in the header covers every byte
+// after the header.
 //
 // Symbols: the `label` column stores file-local dictionary ids. The
 // dictionary — exactly the strings this one logfile references, in
@@ -54,8 +56,8 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/logfile.hpp"
@@ -82,6 +84,9 @@ inline constexpr std::string_view kSymbolSidecarExt = ".u1s";
 /// True when the 8 bytes at `p` (n >= 8) are the .u1b file magic.
 bool is_binary_logfile_magic(const unsigned char* p, std::size_t n) noexcept;
 
+/// Records per stripe of a `.u1b` file.
+inline constexpr std::size_t kStripeRecords = 8192;
+
 /// Writes records into per-(machine, process, day) `.u1b` files plus one
 /// `.u1s` symbol sidecar each. Same sharding rule — and therefore the
 /// same file set — as the CSV LogfileWriter. Records must carry global
@@ -89,44 +94,20 @@ bool is_binary_logfile_magic(const unsigned char* p, std::size_t n) noexcept;
 class BinaryLogfileWriter final : public LogfileSink {
  public:
   explicit BinaryLogfileWriter(std::filesystem::path directory);
-  ~BinaryLogfileWriter() override;
 
-  void append(const TraceRecord& record) override;
-  void append_batch(const TraceRecord* records, std::size_t count) override;
-  /// Flushes trailing stripes, patches headers/checksums, writes the
-  /// sidecars and closes every file.
-  void close() override;
-
-  /// Open files (0 after close()), mirroring LogfileWriter semantics.
-  std::size_t files_written() const noexcept override {
-    return files_.size();
-  }
-  std::uint64_t records_written() const noexcept { return records_; }
-  /// Bytes handed to the filesystem so far (headers, stripes, sidecars).
-  std::uint64_t bytes_written() const noexcept { return bytes_written_; }
-
-  /// Records buffered per file before a stripe is cut. Tests shrink this
+  /// Records per stripe in files written from now on. Tests shrink this
   /// to exercise multi-stripe files without bulk data.
-  void set_stripe_records(std::size_t n) noexcept {
-    stripe_records_ = n < 1 ? 1 : n;
-  }
-
- private:
-  struct FileState;
-
-  FileState& file_for(const TraceRecord& record);
-  void flush_stripe(FileState& file);
-  void finalize(FileState& file);
-
-  std::filesystem::path dir_;
-  // Keyed by (machine, process, day) packed into one integer — no
-  // logname string is built on the hot path.
-  std::unordered_map<std::uint64_t, std::unique_ptr<FileState>> files_;
-  std::vector<std::uint8_t> scratch_;  // stripe encode buffer, reused
-  std::size_t stripe_records_ = 8192;
-  std::uint64_t records_ = 0;
-  std::uint64_t bytes_written_ = 0;
+  void set_stripe_records(std::size_t n);
 };
+
+/// Writes `records` — all of one logfile, kept in the order given — as
+/// "<directory>/<logname>.u1b" plus its "<logname>.u1s" sidecar, a
+/// stripe every `stripe_records` records. Opens, writes and closes one
+/// file at a time; returns the bytes written (0, and no file, for an
+/// empty span).
+std::uint64_t write_binary_logfile(const std::filesystem::path& directory,
+                                   std::span<const TraceRecord> records,
+                                   std::size_t stripe_records = kStripeRecords);
 
 /// Reads one `.u1b` logfile (and its `.u1s` sidecar), appending decoded
 /// records — labels rewritten to global symbol ids — to `out`. Integrity

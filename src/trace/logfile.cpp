@@ -1,38 +1,197 @@
 #include "trace/logfile.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <system_error>
+#include <unordered_map>
+#include <utility>
 
 #include "trace/binlog.hpp"
 #include "util/csv.hpp"
 
 namespace u1 {
 
-LogfileWriter::LogfileWriter(std::filesystem::path directory)
-    : dir_(std::move(directory)) {
+namespace {
+
+/// Logfile day of a record. Mirrors trace_date(): pre-trace bootstrap
+/// records (t < 0) all land on the epoch date, so they share day 0.
+std::int64_t day_of(SimTime t) noexcept { return t < 0 ? 0 : t / kDay; }
+
+/// (machine, process): the logfile key within one day.
+std::uint32_t process_key(const TraceRecord& r) noexcept {
+  return (static_cast<std::uint32_t>(r.machine.value) << 16) |
+         r.process.value;
+}
+
+}  // namespace
+
+LogfileSink::LogfileSink(std::filesystem::path directory,
+                         FileWriter write_file)
+    : dir_(std::move(directory)), write_file_(std::move(write_file)) {
   std::filesystem::create_directories(dir_);
 }
 
-LogfileWriter::~LogfileWriter() { close(); }
-
-void LogfileWriter::append(const TraceRecord& record) {
-  const std::string name = record.logname();
-  auto it = files_.find(name);
-  if (it == files_.end()) {
-    auto stream = std::make_unique<std::ofstream>(dir_ / (name + ".csv"));
-    if (!stream->is_open())
-      throw std::runtime_error("LogfileWriter: cannot open " + name);
-    CsvWriter header(*stream);
-    header.write_row(TraceRecord::csv_header());
-    it = files_.emplace(name, std::move(stream)).first;
+LogfileSink::~LogfileSink() {
+  try {
+    close();
+  } catch (...) {
+    // Destructors must not throw; an explicit close() reports errors.
   }
-  CsvWriter writer(*it->second);
-  writer.write_row(record.to_csv());
 }
 
-void LogfileWriter::close() {
-  for (auto& [name, stream] : files_) stream->flush();
-  files_.clear();
+void LogfileSink::append_batch(const TraceRecord* records,
+                               std::size_t count) {
+  if (task_failed_.load(std::memory_order_acquire)) join_task();
+  for (std::size_t i = 0; i < count;) {
+    // Copy each run of same-day records in one insert.
+    const std::int64_t day = day_of(records[i].t);
+    const SimTime begin =
+        day == 0 ? std::numeric_limits<SimTime>::min() : day * kDay;
+    const SimTime end = (day + 1) * kDay;
+    std::size_t j = i + 1;
+    while (j < count && records[j].t >= begin && records[j].t < end) ++j;
+    std::vector<TraceRecord>& buffer = buffer_for(day, records[i]);
+    buffer.insert(buffer.end(), records + i, records + j);
+    i = j;
+  }
+  records_ += count;
+}
+
+std::vector<TraceRecord>& LogfileSink::buffer_for(std::int64_t day,
+                                                  const TraceRecord& first) {
+  if (day < retired_below_)
+    throw std::logic_error("LogfileSink: record for " + first.logname() +
+                           " arrived after that logfile was written "
+                           "(records must arrive in day order, less than "
+                           "one day late)");
+  if (day > head_) {
+    head_ = day;
+    retire_below(head_ - 1);
+  }
+  auto it = open_.begin();
+  while (it != open_.end() && it->index < day) ++it;
+  if (it != open_.end() && it->index == day) return it->records;
+  Day fresh{day, {}};
+  if (!spare_.empty()) {
+    fresh.records = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  return open_.insert(it, std::move(fresh))->records;
+}
+
+void LogfileSink::retire_below(std::int64_t day) {
+  if (day <= retired_below_) return;
+  retired_below_ = day;
+  std::vector<std::vector<TraceRecord>> batch;
+  auto it = open_.begin();
+  for (; it != open_.end() && it->index < day; ++it)
+    batch.push_back(std::move(it->records));
+  open_.erase(open_.begin(), it);
+  if (batch.empty()) return;
+  join_task();  // backpressure: one retire task in flight
+  task_days_ = std::move(batch);
+  task_ = std::thread(&LogfileSink::write_days, this, write_file_);
+}
+
+void LogfileSink::join_task() {
+  if (!task_.joinable()) return;
+  task_.join();
+  bytes_written_ += task_bytes_;
+  retire_busy_s_ += task_busy_s_;
+  task_bytes_ = 0;
+  task_busy_s_ = 0.0;
+  // Keep retired capacity for later days, but not a buffer far larger
+  // than the complete day now buffered: the epoch day also carries the
+  // pre-trace bootstrap corpus, several trace days' worth of records,
+  // and keeping its buffer would pin that memory for the whole run.
+  std::size_t typical = 0;
+  for (const Day& day : open_) typical = std::max(typical, day.records.size());
+  for (auto& records : task_days_) {
+    if (records.capacity() > 4 * typical) continue;  // freed below
+    records.clear();
+    spare_.push_back(std::move(records));
+  }
+  task_days_.clear();
+  if (task_error_) {
+    task_failed_.store(false, std::memory_order_relaxed);
+    std::rethrow_exception(std::exchange(task_error_, nullptr));
+  }
+}
+
+void LogfileSink::write_days(const FileWriter& write_file) noexcept {
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    for (const auto& records : task_days_) write_day(records, write_file);
+  } catch (...) {
+    task_error_ = std::current_exception();
+    task_failed_.store(true, std::memory_order_release);
+  }
+  task_busy_s_ = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+}
+
+void LogfileSink::write_day(const std::vector<TraceRecord>& records,
+                            const FileWriter& write_file) {
+  // Counting sort of record indices by (machine, process), then each
+  // logfile's records gathered, in arrival order, into one contiguous
+  // buffer for its whole-file write.
+  std::unordered_map<std::uint32_t, std::uint32_t> slot_of_key;
+  task_slot_.resize(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto next = static_cast<std::uint32_t>(slot_of_key.size());
+    task_slot_[i] =
+        slot_of_key.try_emplace(process_key(records[i]), next).first->second;
+  }
+  std::vector<std::size_t> start(slot_of_key.size() + 1, 0);
+  for (const std::uint32_t slot : task_slot_) ++start[slot + 1];
+  for (std::size_t s = 1; s < start.size(); ++s) start[s] += start[s - 1];
+  std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+  task_order_.resize(records.size());
+  for (std::size_t i = 0; i < records.size(); ++i)
+    task_order_[fill[task_slot_[i]]++] = static_cast<std::uint32_t>(i);
+  for (std::size_t s = 0; s + 1 < start.size(); ++s) {
+    task_file_.clear();
+    for (std::size_t k = start[s]; k < start[s + 1]; ++k)
+      task_file_.push_back(records[task_order_[k]]);
+    task_bytes_ += write_file(dir_, task_file_);
+  }
+}
+
+void LogfileSink::close() {
+  retire_below(std::numeric_limits<std::int64_t>::max());
+  join_task();
+}
+
+LogfileWriter::LogfileWriter(std::filesystem::path directory)
+    : LogfileSink(std::move(directory), write_csv_logfile) {}
+
+std::uint64_t write_csv_logfile(const std::filesystem::path& directory,
+                                std::span<const TraceRecord> records) {
+  if (records.empty()) return 0;
+  thread_local std::string text;  // reused across the thread's files
+  text.clear();
+  const auto& header = TraceRecord::csv_header();
+  for (std::size_t i = 0; i < header.size(); ++i) {
+    if (i > 0) text.push_back(',');
+    text += header[i];
+  }
+  text.push_back('\n');
+  for (const TraceRecord& r : records) r.append_csv_line(text);
+  const std::filesystem::path path =
+      directory / (records.front().logname() + ".csv");
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out.is_open())
+    throw std::runtime_error("LogfileWriter: cannot open " + path.string());
+  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  out.close();
+  if (!out)
+    throw std::runtime_error("LogfileWriter: write failed for " +
+                             path.string());
+  return text.size();
 }
 
 ReadStats read_logfile(const std::filesystem::path& file,

@@ -13,12 +13,14 @@
 // one timestamp-ordered stream.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
-#include <fstream>
-#include <map>
-#include <memory>
+#include <functional>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "trace/record.hpp"
@@ -26,15 +28,98 @@
 
 namespace u1 {
 
-/// Common interface of the per-(machine, process, day) logfile writers —
-/// CSV LogfileWriter and binary BinaryLogfileWriter — so engines, tools
-/// and benches select a trace format without caring which.
+/// Common core of the per-(machine, process, day) logfile writers — CSV
+/// LogfileWriter and binary BinaryLogfileWriter — so engines, tools and
+/// benches select a trace format without caring which.
+///
+/// A logfile is one process-day (paper §4), so it is complete once its
+/// day has passed. Records are buffered per day in arrival order; when
+/// the stream head reaches day h, every buffered day below h - 1 is
+/// retired: one background task writes each of its logfiles whole, one
+/// file (one fd) at a time, while the producer keeps appending. Only one
+/// task is in flight — the next retirement joins the previous one first,
+/// and that join bounds memory to about two days of records.
+///
+/// Day-order contract: the stream is t-ordered with under one day of
+/// lag (stage B, the distributed merge and read_logfiles all are). A
+/// record for a day already retired throws std::logic_error naming its
+/// logfile; a written file is never reopened or truncated. A write error
+/// in the task is rethrown by the next append_batch() or close().
 class LogfileSink : public TraceSink {
  public:
-  /// Flushes and closes all open files; idempotent.
-  virtual void close() = 0;
-  /// Files currently open (0 after close()).
-  virtual std::size_t files_written() const noexcept = 0;
+  /// Closes (joins the retire task); a write error is swallowed here —
+  /// call close() to see it.
+  ~LogfileSink() override;
+  LogfileSink(const LogfileSink&) = delete;
+  LogfileSink& operator=(const LogfileSink&) = delete;
+
+  void append(const TraceRecord& record) override {
+    append_batch(&record, 1);
+  }
+  void append_batch(const TraceRecord* records, std::size_t count) override;
+  /// Retires every buffered day and waits until all files are on disk;
+  /// rethrows a write error. Idempotent.
+  void close();
+
+  /// Records appended so far.
+  std::uint64_t records_written() const noexcept { return records_; }
+  /// Bytes handed to the filesystem by joined retire tasks (every byte
+  /// of the trace once close() has returned).
+  std::uint64_t bytes_written() const noexcept { return bytes_written_; }
+  /// Seconds the retire tasks spent writing logfiles, summed over joined
+  /// tasks: the encoder's cost, which no longer shows on the caller's
+  /// thread.
+  double retire_busy_s() const noexcept { return retire_busy_s_; }
+
+ protected:
+  /// Writes one whole logfile — every record of one (machine, process,
+  /// day), in arrival order — into a directory; returns the bytes
+  /// written. Runs on the retire task.
+  using FileWriter = std::function<std::uint64_t(
+      const std::filesystem::path& directory,
+      std::span<const TraceRecord> records)>;
+
+  LogfileSink(std::filesystem::path directory, FileWriter write_file);
+  /// Replaces the whole-file writer for days retired from now on.
+  void set_file_writer(FileWriter write_file) {
+    write_file_ = std::move(write_file);
+  }
+
+ private:
+  struct Day {
+    std::int64_t index = 0;
+    std::vector<TraceRecord> records;  // arrival order
+  };
+
+  std::vector<TraceRecord>& buffer_for(std::int64_t day,
+                                       const TraceRecord& first);
+  void retire_below(std::int64_t day);
+  void join_task();
+  void write_days(const FileWriter& write_file) noexcept;
+  void write_day(const std::vector<TraceRecord>& records,
+                 const FileWriter& write_file);
+
+  std::filesystem::path dir_;
+  FileWriter write_file_;
+  std::vector<Day> open_;  // buffered days, ascending (about two)
+  std::int64_t head_ = -1;            // highest day seen
+  std::int64_t retired_below_ = 0;    // days below this are written
+  std::vector<std::vector<TraceRecord>> spare_;  // retired capacity
+  std::uint64_t records_ = 0;
+  std::uint64_t bytes_written_ = 0;
+  double retire_busy_s_ = 0.0;
+
+  // The retire task's state. Producer-side code touches it only after
+  // joining the task (task_failed_ excepted).
+  std::vector<std::vector<TraceRecord>> task_days_;
+  std::vector<std::uint32_t> task_slot_;   // file slot of each record
+  std::vector<std::uint32_t> task_order_;  // record indices, by file
+  std::vector<TraceRecord> task_file_;     // one logfile's records
+  std::uint64_t task_bytes_ = 0;
+  double task_busy_s_ = 0.0;
+  std::exception_ptr task_error_;
+  std::atomic<bool> task_failed_{false};
+  std::thread task_;  // after everything the task uses
 };
 
 /// Writes records into per-(machine, process, day) CSV logfiles under a
@@ -42,20 +127,14 @@ class LogfileSink : public TraceSink {
 class LogfileWriter final : public LogfileSink {
  public:
   explicit LogfileWriter(std::filesystem::path directory);
-  ~LogfileWriter() override;
-
-  void append(const TraceRecord& record) override;
-  /// Flushes and closes all open files.
-  void close() override;
-
-  std::size_t files_written() const noexcept override {
-    return files_.size();
-  }
-
- private:
-  std::filesystem::path dir_;
-  std::map<std::string, std::unique_ptr<std::ofstream>> files_;
 };
+
+/// Writes `records` — all of one logfile, kept in the order given — as
+/// "<directory>/<logname>.csv": the header row, then one row per record.
+/// Opens, writes and closes the file; returns the bytes written (0, and
+/// no file, for an empty span).
+std::uint64_t write_csv_logfile(const std::filesystem::path& directory,
+                                std::span<const TraceRecord> records);
 
 struct ReadStats {
   std::uint64_t rows = 0;

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "stats/reservoir.hpp"
+#include "trace/binlog.hpp"
 #include "trace/logfile.hpp"
 #include "trace/sink.hpp"
 #include "util/sha1.hpp"
@@ -122,12 +126,23 @@ TEST_P(LogfileRoundTrip, MergePreservesEveryRecordInOrder) {
   std::filesystem::remove_all(dir);
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   const int n = 2000;
-  {
-    LogfileWriter writer(dir);
-    for (int i = 0; i < n; ++i) {
-      const auto type = static_cast<RecordType>(rng.below(kRecordTypeCount));
-      writer.append(random_record(rng, type));
-    }
+  // Random timestamps over 30 days: each logfile is written whole by its
+  // format's writer (alternating CSV and binary), rows left in generation
+  // order rather than time order, so the merge must sort.
+  std::map<std::string, std::vector<TraceRecord>> files;
+  for (int i = 0; i < n; ++i) {
+    const auto type = static_cast<RecordType>(rng.below(kRecordTypeCount));
+    const TraceRecord r = random_record(rng, type);
+    files[r.logname()].push_back(r);
+  }
+  std::filesystem::create_directories(dir);
+  bool binary = false;
+  for (const auto& [name, records] : files) {
+    if (binary)
+      write_binary_logfile(dir, records);
+    else
+      write_csv_logfile(dir, records);
+    binary = !binary;
   }
   InMemorySink sink;
   const ReadStats stats = read_logfiles(dir, sink);

@@ -203,15 +203,6 @@ TEST(CalendarQueue, MatchesHeapOnNegativeTimestamps) {
   expect_same_pop_order(pushes, 0.3, 102u);
 }
 
-TEST(CalendarQueue, SetImplRequiresEmptyQueue) {
-  EventQueue<int> q(QueueImpl::kBinaryHeap);
-  q.push(1, 0);
-  EXPECT_THROW(q.set_impl(QueueImpl::kCalendar), std::logic_error);
-  q.pop();
-  EXPECT_NO_THROW(q.set_impl(QueueImpl::kCalendar));
-  EXPECT_EQ(q.impl(), QueueImpl::kCalendar);
-}
-
 // --------------------------------------------------------------------------
 // Engine-level invariance: the flush-ring depth is a pure performance
 // knob — the merged trace must not move a byte.

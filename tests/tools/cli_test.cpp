@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -219,6 +224,71 @@ TEST_F(CliPipeline, GenerateIsThreadCountInvariant) {
         << format << ": --threads 1 and --threads 3 traces differ";
     for (const auto& d : dirs) std::filesystem::remove_all(d);
   }
+}
+
+TEST_F(CliPipeline, GenerateCompletesUnderLowFdLimit) {
+  // Logfiles are written whole, one open file at a time, as their day
+  // retires, so a 6-day run needs a handful of fds however many logfiles
+  // it writes. A child lowers its own soft RLIMIT_NOFILE to 64 and must
+  // write the same bytes as an unconstrained run.
+  for (const char* format : {"csv", "bin"}) {
+    const std::string free_dir = dir_ + "_" + format + "_free";
+    const std::string low_dir = dir_ + "_" + format + "_low";
+    const auto argv = [&](const std::string& out_dir) {
+      return std::vector<std::string>{"generate", "--out", out_dir,
+                                      "--users",  "300",   "--days",
+                                      "6",        "--format", format};
+    };
+    std::filesystem::remove_all(free_dir);
+    std::filesystem::remove_all(low_dir);
+    std::ostringstream out, err;
+    ASSERT_EQ(run(argv(free_dir), out, err), 0) << err.str();
+
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+      rlimit lim{};
+      ::getrlimit(RLIMIT_NOFILE, &lim);
+      lim.rlim_cur = 64;
+      if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) ::_exit(3);
+      std::ostringstream c_out, c_err;
+      const int code = run(argv(low_dir), c_out, c_err);
+      if (code != 0) std::fputs(c_err.str().c_str(), stderr);
+      ::_exit(code);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status)) << format;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << format;
+    EXPECT_TRUE(dir_bytes(low_dir) == dir_bytes(free_dir))
+        << format << ": the fd-limited trace differs";
+    std::filesystem::remove_all(free_dir);
+    std::filesystem::remove_all(low_dir);
+  }
+}
+
+TEST_F(CliPipeline, UnwritableOutputIsAnErrorExit) {
+  // --out under a regular file cannot be created: exit 1 with a
+  // message, not an uncaught exception. (Permissions would not do: the
+  // tests may run as root.)
+  const std::string blocker = dir_ + "_blocker";
+  std::ofstream(blocker) << "not a directory\n";
+  std::ostringstream out, err;
+  EXPECT_EQ(run({"generate", "--out", blocker + "/trace", "--users", "20",
+                 "--days", "1"},
+                out, err),
+            1);
+  EXPECT_TRUE(err.str().starts_with("u1trace generate: ")) << err.str();
+
+  ASSERT_EQ(run({"generate", "--out", dir_, "--users", "20", "--days", "1"},
+                out, err),
+            0)
+      << err.str();
+  std::ostringstream c_out, c_err;
+  EXPECT_EQ(run({"convert", dir_, "--out", blocker + "/conv"}, c_out, c_err),
+            1);
+  EXPECT_TRUE(c_err.str().starts_with("u1trace convert: ")) << c_err.str();
+  std::filesystem::remove(blocker);
 }
 
 TEST_F(CliPipeline, ConvertRejectsBadArguments) {

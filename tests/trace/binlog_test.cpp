@@ -4,15 +4,20 @@
 // the bounds-checked decoder).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "trace/binlog.hpp"
 #include "trace/logfile.hpp"
 #include "trace/sink.hpp"
+#include "util/sha1.hpp"
 
 namespace u1 {
 namespace {
@@ -66,6 +71,34 @@ TraceRecord sample(std::size_t i, RecordType type, std::uint64_t machine = 1,
   return r;
 }
 
+/// A t-ordered stream over seven days from 3 machines x 4 processes,
+/// every record type, one record every five minutes.
+std::vector<TraceRecord> multi_day_stream() {
+  std::vector<TraceRecord> out;
+  for (std::size_t i = 0; i < 2000; ++i) {
+    TraceRecord r = sample(i, static_cast<RecordType>(i % kRecordTypeCount),
+                           1 + i % 3, 1 + (i / 3) % 4);
+    r.t = static_cast<SimTime>(i) * 5 * kMinute;
+    out.push_back(r);
+  }
+  return out;
+}
+
+/// SHA-1 over every file in `dir` in name order: name bytes, then content.
+std::string hash_directory(const std::filesystem::path& dir) {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& e : std::filesystem::directory_iterator(dir))
+    paths.push_back(e.path());
+  std::sort(paths.begin(), paths.end());
+  Sha1 hasher;
+  for (const auto& path : paths) {
+    hasher.update(path.filename().string());
+    std::ifstream in(path, std::ios::binary);
+    hasher.update(std::string(std::istreambuf_iterator<char>(in), {}));
+  }
+  return hasher.finish().hex();
+}
+
 std::string csv_of(const std::vector<TraceRecord>& records) {
   std::string out;
   for (const TraceRecord& r : records) r.append_csv_row(out);
@@ -80,6 +113,14 @@ class BinlogTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  /// Files on disk with extension `ext`.
+  std::size_t count_files(std::string_view ext) const {
+    std::size_t n = 0;
+    for (const auto& e : std::filesystem::directory_iterator(dir_))
+      if (e.path().extension() == ext) ++n;
+    return n;
+  }
 
   std::filesystem::path only_file(std::string_view ext) const {
     for (const auto& e : std::filesystem::directory_iterator(dir_))
@@ -98,9 +139,8 @@ class BinlogTest : public ::testing::Test {
     BinaryLogfileWriter writer(dir_);
     writer.set_stripe_records(stripe_records);
     writer.append_batch(records.data(), records.size());
-    EXPECT_EQ(writer.files_written(), 1u);
     writer.close();
-    EXPECT_EQ(writer.files_written(), 0u);
+    EXPECT_EQ(count_files(".u1b"), 1u);
     EXPECT_EQ(writer.records_written(), records.size());
     EXPECT_GT(writer.bytes_written(), 0u);
     return records;
@@ -142,7 +182,6 @@ TEST_F(BinlogTest, ShardsByMachineProcessDayLikeCsv) {
   TraceRecord next_day = sample(0, RecordType::kStorage, 1, 1);
   next_day.t += kDay;
   writer.append(next_day);
-  EXPECT_EQ(writer.files_written(), 4u);
   writer.close();
   std::size_t logs = 0, sidecars = 0;
   for (const auto& e : std::filesystem::directory_iterator(dir_)) {
@@ -154,6 +193,126 @@ TEST_F(BinlogTest, ShardsByMachineProcessDayLikeCsv) {
   EXPECT_EQ(sidecars, 4u);
 }
 
+TEST_F(BinlogTest, DayRetiredStreamMatchesOneRecordStripeBaseline) {
+  // Every record its own stripe: the most stripe headers and dictionary
+  // hand-offs per file. The day-retiring writer must produce the bytes
+  // the per-file streaming writer it replaced did (pinned SHA), and the
+  // bytes of writing each logfile whole.
+  const auto records = multi_day_stream();
+  {
+    BinaryLogfileWriter writer(dir_);
+    writer.set_stripe_records(1);
+    writer.append_batch(records.data(), records.size());
+    writer.close();
+    EXPECT_EQ(writer.records_written(), records.size());
+  }
+  EXPECT_EQ(count_files(".u1b"), 84u);
+  EXPECT_EQ(hash_directory(dir_), "0e178755357213f451328385c89aed95021d9540");
+
+  std::map<std::string, std::vector<TraceRecord>> files;
+  for (const TraceRecord& r : records) files[r.logname()].push_back(r);
+  const std::filesystem::path whole = dir_.string() + "_whole";
+  std::filesystem::remove_all(whole);
+  std::filesystem::create_directories(whole);
+  for (const auto& [name, recs] : files) write_binary_logfile(whole, recs, 1);
+  EXPECT_EQ(hash_directory(whole), hash_directory(dir_));
+  std::filesystem::remove_all(whole);
+}
+
+TEST_F(BinlogTest, RecordForRetiredDayThrowsAndLeavesTheFile) {
+  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
+    std::filesystem::remove_all(dir_);
+    const auto writer = make_logfile_writer(dir_, format);
+    const TraceRecord day0 = sample(0, RecordType::kStorage);
+    writer->append(day0);
+    for (const int day : {1, 2}) {  // head at day 2 retires day 0
+      TraceRecord r = sample(1, RecordType::kStorage);
+      r.t += day * kDay;
+      writer->append(r);
+    }
+    try {
+      writer->append(sample(5, RecordType::kStorage));
+      ADD_FAILURE() << "late record accepted";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find(day0.logname()),
+                std::string::npos)
+          << e.what();
+    }
+    writer->close();
+    // The day-0 logfile was neither reopened nor truncated.
+    InMemorySink sink;
+    EXPECT_EQ(read_logfiles(dir_, sink).parsed, 3u);
+    EXPECT_EQ(sink.records().front().t, day0.t);
+  }
+}
+
+TEST_F(BinlogTest, StreamBuffersAboutTwoDays) {
+  // After day d is appended, days up to d - 3 are on disk (their retire
+  // task has been joined), d - 2 may be in flight, and d - 1 and d are
+  // still buffered.
+  const auto records = multi_day_stream();
+  const auto day_of = [](const TraceRecord& r) { return r.t / kDay; };
+  std::map<std::int64_t, std::vector<std::string>> names_by_day;
+  for (const TraceRecord& r : records) {
+    auto& names = names_by_day[day_of(r)];
+    const std::string name = r.logname() + ".u1b";
+    if (std::find(names.begin(), names.end(), name) == names.end())
+      names.push_back(name);
+  }
+  ASSERT_GE(names_by_day.size(), 6u);
+  BinaryLogfileWriter writer(dir_);
+  std::size_t i = 0;
+  for (const auto& [day, names] : names_by_day) {
+    while (i < records.size() && day_of(records[i]) == day)
+      writer.append(records[i++]);
+    for (const auto& [other, other_names] : names_by_day) {
+      for (const std::string& name : other_names) {
+        const bool exists = std::filesystem::exists(dir_ / name);
+        if (other <= day - 3) {
+          EXPECT_TRUE(exists) << name << " at day " << day;
+        }
+        if (other >= day - 1) {
+          EXPECT_FALSE(exists) << name << " at day " << day;
+        }
+      }
+    }
+  }
+  writer.close();
+  std::size_t expected = 0;
+  for (const auto& [day, names] : names_by_day) expected += names.size();
+  EXPECT_EQ(count_files(".u1b"), expected);
+}
+
+TEST_F(BinlogTest, WriteErrorSurfacesAtCloseNotInDestructor) {
+  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
+    std::filesystem::remove_all(dir_);
+    {
+      const auto writer = make_logfile_writer(dir_, format);
+      std::filesystem::remove_all(dir_);
+      std::ofstream(dir_) << "a regular file where the directory was\n";
+      EXPECT_THROW(
+          {
+            for (const int day : {0, 1, 2}) {
+              TraceRecord r = sample(0, RecordType::kStorage);
+              r.t += day * kDay;
+              writer->append(r);
+            }
+            writer->close();
+          },
+          std::runtime_error);
+    }
+    {
+      // Same failure, no explicit close: the destructor must not throw.
+      std::filesystem::remove_all(dir_);
+      const auto writer = make_logfile_writer(dir_, format);
+      std::filesystem::remove_all(dir_);
+      std::ofstream(dir_) << "x\n";
+      writer->append(sample(0, RecordType::kStorage));
+    }
+    std::filesystem::remove_all(dir_);
+  }
+}
+
 TEST_F(BinlogTest, PreTraceRecordsShareTheEpochFile) {
   // trace_date() maps every t < 0 to the epoch date, so the writer must
   // not open a second file (clobbering the first) for bootstrap records.
@@ -162,8 +321,8 @@ TEST_F(BinlogTest, PreTraceRecordsShareTheEpochFile) {
   pre.t = -3 * kDay;
   writer.append(pre);
   writer.append(sample(1, RecordType::kStorage));
-  EXPECT_EQ(writer.files_written(), 1u);
   writer.close();
+  EXPECT_EQ(count_files(".u1b"), 1u);
   std::vector<TraceRecord> decoded;
   const ReadStats stats = read_binary_logfile(only_file(".u1b"), decoded);
   EXPECT_EQ(stats.parsed, 2u);

@@ -48,6 +48,19 @@ std::vector<TraceRecord> load(const std::string& dir, std::ostream& out,
   return sink.records();
 }
 
+/// Runs a trace-writing command. A failure to create or write the
+/// output (or a broken writer contract) becomes exit 1 with a one-line
+/// message, not an uncaught exception.
+template <typename Command>
+int reporting_errors(const char* name, std::ostream& err, Command command) {
+  try {
+    return command();
+  } catch (const std::exception& e) {
+    err << "u1trace " << name << ": " << e.what() << "\n";
+    return 1;
+  }
+}
+
 SimTime horizon_of(const std::vector<TraceRecord>& records) {
   SimTime max_t = kDay;
   for (const TraceRecord& r : records) max_t = std::max(max_t, r.t);
@@ -211,18 +224,24 @@ int cmd_convert(const Args& args, std::ostream& out, std::ostream& err) {
   }
   std::sort(paths.begin(), paths.end());
   // One source logfile maps to exactly one target logfile (both formats
-  // shard by (machine, process, day)), so converting file-by-file keeps
-  // each file's record order — the converted bytes match what direct
-  // generation in the target format would have produced.
-  const std::unique_ptr<LogfileSink> writer = make_logfile_writer(*dst, *format);
+  // shard by (machine, process, day)), so each is re-encoded whole, in
+  // its own record order — the converted bytes match what direct
+  // generation in the target format would have produced. Name order puts
+  // a logfile present in both formats ("X.csv", "X.u1b") side by side;
+  // its records are concatenated into one target file.
+  std::filesystem::create_directories(*dst);
   ReadStats stats;
   std::vector<TraceRecord> records;
-  for (const auto& path : paths) {
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    stats.add(read_logfile(paths[i], records));
+    if (i + 1 < paths.size() && paths[i + 1].stem() == paths[i].stem())
+      continue;
+    if (*format == TraceFormat::kBinary)
+      write_binary_logfile(*dst, records);
+    else
+      write_csv_logfile(*dst, records);
     records.clear();
-    stats.add(read_logfile(path, records));
-    writer->append_batch(records.data(), records.size());
   }
-  writer->close();
   out << "# converted " << stats.parsed << " records from " << stats.files
       << " logfiles to " << to_string(*format) << " -> " << *dst << " ("
       << stats.malformed << " malformed rows dropped)\n";
@@ -415,7 +434,8 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
       for (const auto& e : args.errors()) err << "generate: " << e << "\n";
       return 2;
     }
-    return cmd_generate(args, out, err);
+    return reporting_errors("generate", err,
+                            [&] { return cmd_generate(args, out, err); });
   }
   if (command == "convert") {
     const Args args = Args::parse(rest, {"out", "to"}, {});
@@ -423,7 +443,8 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
       for (const auto& e : args.errors()) err << "convert: " << e << "\n";
       return 2;
     }
-    return cmd_convert(args, out, err);
+    return reporting_errors("convert", err,
+                            [&] { return cmd_convert(args, out, err); });
   }
   if (command == "summarize" || command == "analyze" ||
       command == "validate") {
