@@ -31,8 +31,9 @@
 //       scratch directory and hashes the output bytes (sorted by name),
 //       the determinism oracle for the binary format. Its write_s then
 //       covers only buffering records per day; each run also reports
-//       retire_busy_s (the writer's retire tasks that encoded and wrote
-//       days during the run) and close_s (writing the remaining days).
+//       retire_busy_s (the CPU time of the writer's retire tasks, which
+//       encode and write every day's logfiles) and close_s (the wait in
+//       close() while the last days are written).
 //   U1SIM_CAL_SCAN_BAND=X        calendar-queue regression band: the run
 //       fails (exit 1) if scanned-per-find exceeds X (default 24.0) on
 //       any run with enough finds to be meaningful.
@@ -197,7 +198,6 @@ RunResult run_once(const u1::SimulationConfig& cfg, std::size_t threads,
       u1::ParallelSimulation sim(cfg, writer, threads);
       const u1::SimulationReport report = sim.run();
       const auto tc = std::chrono::steady_clock::now();
-      const double retire_busy_s = writer.retire_busy_s();
       writer.close();  // the last days' logfiles belong to the run
       const auto t1 = std::chrono::steady_clock::now();
       out.walls.push_back(std::chrono::duration<double>(t1 - t0).count());
@@ -210,7 +210,7 @@ RunResult run_once(const u1::SimulationConfig& cfg, std::size_t threads,
         out.phases = sim.phases();
         out.report = report;
         out.close_s = std::chrono::duration<double>(t1 - tc).count();
-        out.retire_busy_s = retire_busy_s;
+        out.retire_busy_s = writer.retire_busy_s();
       }
     }
     if (rep == 0) {

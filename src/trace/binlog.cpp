@@ -648,17 +648,11 @@ BinaryLogfileWriter::BinaryLogfileWriter(std::filesystem::path directory)
                     return write_binary_logfile(dir, records);
                   }) {}
 
-void BinaryLogfileWriter::set_stripe_records(std::size_t n) {
-  set_file_writer([n](const std::filesystem::path& dir,
-                      std::span<const TraceRecord> records) {
-    return write_binary_logfile(dir, records, n);
-  });
-}
-
 std::uint64_t write_binary_logfile(const std::filesystem::path& directory,
                                    std::span<const TraceRecord> records,
                                    std::size_t stripe_records) {
   if (records.empty()) return 0;
+  check_one_logfile(records);
   stripe_records = std::max<std::size_t>(stripe_records, 1);
 
   // Every stripe — header, type sequence, segments — goes into one

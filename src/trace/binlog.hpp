@@ -94,17 +94,14 @@ inline constexpr std::size_t kStripeRecords = 8192;
 class BinaryLogfileWriter final : public LogfileSink {
  public:
   explicit BinaryLogfileWriter(std::filesystem::path directory);
-
-  /// Records per stripe in files written from now on. Tests shrink this
-  /// to exercise multi-stripe files without bulk data.
-  void set_stripe_records(std::size_t n);
 };
 
 /// Writes `records` — all of one logfile, kept in the order given — as
 /// "<directory>/<logname>.u1b" plus its "<logname>.u1s" sidecar, a
 /// stripe every `stripe_records` records. Opens, writes and closes one
 /// file at a time; returns the bytes written (0, and no file, for an
-/// empty span).
+/// empty span). Throws std::runtime_error if the records span several
+/// logfiles (check_one_logfile).
 std::uint64_t write_binary_logfile(const std::filesystem::path& directory,
                                    std::span<const TraceRecord> records,
                                    std::size_t stripe_records = kStripeRecords);

@@ -1,7 +1,8 @@
 #include "trace/logfile.hpp"
 
+#include <time.h>
+
 #include <algorithm>
-#include <chrono>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
@@ -26,11 +27,19 @@ std::uint32_t process_key(const TraceRecord& r) noexcept {
          r.process.value;
 }
 
+/// CPU seconds the calling thread has run.
+double thread_cpu_s() noexcept {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 }  // namespace
 
 LogfileSink::LogfileSink(std::filesystem::path directory,
                          FileWriter write_file)
-    : dir_(std::move(directory)), write_file_(std::move(write_file)) {
+    : dir_(std::move(directory)), write_file_(write_file) {
   std::filesystem::create_directories(dir_);
 }
 
@@ -67,7 +76,7 @@ std::vector<TraceRecord>& LogfileSink::buffer_for(std::int64_t day,
                            " arrived after that logfile was written "
                            "(records must arrive in day order, less than "
                            "one day late)");
-  if (day > head_) {
+  if (head_ < 0 || day == head_ + 1) {  // see the class comment
     head_ = day;
     retire_below(head_ - 1);
   }
@@ -93,7 +102,7 @@ void LogfileSink::retire_below(std::int64_t day) {
   if (batch.empty()) return;
   join_task();  // backpressure: one retire task in flight
   task_days_ = std::move(batch);
-  task_ = std::thread(&LogfileSink::write_days, this, write_file_);
+  task_ = std::thread(&LogfileSink::write_days, this);
 }
 
 void LogfileSink::join_task() {
@@ -121,21 +130,20 @@ void LogfileSink::join_task() {
   }
 }
 
-void LogfileSink::write_days(const FileWriter& write_file) noexcept {
-  const auto t0 = std::chrono::steady_clock::now();
+void LogfileSink::write_days() noexcept {
+  // CPU time, not wall time: the task shares the cores with the
+  // simulation's workers and is descheduled when they oversubscribe them.
+  const double t0 = thread_cpu_s();
   try {
-    for (const auto& records : task_days_) write_day(records, write_file);
+    for (const auto& records : task_days_) write_day(records);
   } catch (...) {
     task_error_ = std::current_exception();
     task_failed_.store(true, std::memory_order_release);
   }
-  task_busy_s_ = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
+  task_busy_s_ = thread_cpu_s() - t0;
 }
 
-void LogfileSink::write_day(const std::vector<TraceRecord>& records,
-                            const FileWriter& write_file) {
+void LogfileSink::write_day(const std::vector<TraceRecord>& records) {
   // Counting sort of record indices by (machine, process), then each
   // logfile's records gathered, in arrival order, into one contiguous
   // buffer for its whole-file write.
@@ -157,7 +165,7 @@ void LogfileSink::write_day(const std::vector<TraceRecord>& records,
     task_file_.clear();
     for (std::size_t k = start[s]; k < start[s + 1]; ++k)
       task_file_.push_back(records[task_order_[k]]);
-    task_bytes_ += write_file(dir_, task_file_);
+    task_bytes_ += write_file_(dir_, task_file_);
   }
 }
 
@@ -169,29 +177,37 @@ void LogfileSink::close() {
 LogfileWriter::LogfileWriter(std::filesystem::path directory)
     : LogfileSink(std::move(directory), write_csv_logfile) {}
 
+void check_one_logfile(std::span<const TraceRecord> records) {
+  if (records.empty()) return;
+  const TraceRecord& front = records.front();
+  const std::uint32_t key = process_key(front);
+  const std::int64_t day = day_of(front.t);
+  for (const TraceRecord& r : records)
+    if (process_key(r) != key || day_of(r.t) != day)
+      throw std::runtime_error("record for " + r.logname() +
+                               " among the records of " + front.logname() +
+                               " (a logfile holds one machine, process "
+                               "and day)");
+}
+
 std::uint64_t write_csv_logfile(const std::filesystem::path& directory,
                                 std::span<const TraceRecord> records) {
   if (records.empty()) return 0;
-  thread_local std::string text;  // reused across the thread's files
-  text.clear();
-  const auto& header = TraceRecord::csv_header();
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (i > 0) text.push_back(',');
-    text += header[i];
-  }
-  text.push_back('\n');
-  for (const TraceRecord& r : records) r.append_csv_line(text);
+  check_one_logfile(records);
   const std::filesystem::path path =
       directory / (records.front().logname() + ".csv");
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out.is_open())
     throw std::runtime_error("LogfileWriter: cannot open " + path.string());
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
+  CsvWriter writer(out);
+  writer.write_row(TraceRecord::csv_header());
+  for (const TraceRecord& r : records) writer.write_row(r.to_csv());
+  const auto bytes = static_cast<std::uint64_t>(out.tellp());
   out.close();
   if (!out)
     throw std::runtime_error("LogfileWriter: write failed for " +
                              path.string());
-  return text.size();
+  return bytes;
 }
 
 ReadStats read_logfile(const std::filesystem::path& file,

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <exception>
 #include <filesystem>
-#include <functional>
 #include <span>
 #include <string>
 #include <thread>
@@ -40,11 +39,19 @@ namespace u1 {
 /// task is in flight — the next retirement joins the previous one first,
 /// and that join bounds memory to about two days of records.
 ///
+/// The head starts at the first record's day and moves one day at a
+/// time, on the first record of the day after it. A record further
+/// ahead — a transfer's completion, stamped with its end time up to
+/// days after the request that emitted it — is buffered in its own day
+/// and moves nothing. (A day with no records at all therefore stops
+/// retirement: later days stay buffered until close().)
+///
 /// Day-order contract: the stream is t-ordered with under one day of
-/// lag (stage B, the distributed merge and read_logfiles all are). A
-/// record for a day already retired throws std::logic_error naming its
-/// logfile; a written file is never reopened or truncated. A write error
-/// in the task is rethrown by the next append_batch() or close().
+/// lag, apart from such records ahead of it (stage B, the distributed
+/// merge and read_logfiles all are). A record for a day already retired
+/// throws std::logic_error naming its logfile; a written file is never
+/// reopened or truncated. A write error in the task is rethrown by the
+/// next append_batch() or close().
 class LogfileSink : public TraceSink {
  public:
   /// Closes (joins the retire task); a write error is swallowed here —
@@ -66,24 +73,19 @@ class LogfileSink : public TraceSink {
   /// Bytes handed to the filesystem by joined retire tasks (every byte
   /// of the trace once close() has returned).
   std::uint64_t bytes_written() const noexcept { return bytes_written_; }
-  /// Seconds the retire tasks spent writing logfiles, summed over joined
-  /// tasks: the encoder's cost, which no longer shows on the caller's
-  /// thread.
+  /// CPU seconds the retire tasks spent writing logfiles, summed over
+  /// joined tasks (every task once close() has returned): the encoder's
+  /// cost, which no longer shows on the caller's thread.
   double retire_busy_s() const noexcept { return retire_busy_s_; }
 
  protected:
   /// Writes one whole logfile — every record of one (machine, process,
   /// day), in arrival order — into a directory; returns the bytes
   /// written. Runs on the retire task.
-  using FileWriter = std::function<std::uint64_t(
-      const std::filesystem::path& directory,
-      std::span<const TraceRecord> records)>;
+  using FileWriter = std::uint64_t (*)(const std::filesystem::path& directory,
+                                       std::span<const TraceRecord> records);
 
   LogfileSink(std::filesystem::path directory, FileWriter write_file);
-  /// Replaces the whole-file writer for days retired from now on.
-  void set_file_writer(FileWriter write_file) {
-    write_file_ = std::move(write_file);
-  }
 
  private:
   struct Day {
@@ -95,14 +97,13 @@ class LogfileSink : public TraceSink {
                                        const TraceRecord& first);
   void retire_below(std::int64_t day);
   void join_task();
-  void write_days(const FileWriter& write_file) noexcept;
-  void write_day(const std::vector<TraceRecord>& records,
-                 const FileWriter& write_file);
+  void write_days() noexcept;
+  void write_day(const std::vector<TraceRecord>& records);
 
   std::filesystem::path dir_;
-  FileWriter write_file_;
+  const FileWriter write_file_;
   std::vector<Day> open_;  // buffered days, ascending (about two)
-  std::int64_t head_ = -1;            // highest day seen
+  std::int64_t head_ = -1;            // stream head day (-1: no record yet)
   std::int64_t retired_below_ = 0;    // days below this are written
   std::vector<std::vector<TraceRecord>> spare_;  // retired capacity
   std::uint64_t records_ = 0;
@@ -129,10 +130,16 @@ class LogfileWriter final : public LogfileSink {
   explicit LogfileWriter(std::filesystem::path directory);
 };
 
+/// Throws std::runtime_error unless every record belongs to the logfile
+/// of the first — same machine, process and day. The whole-file writers
+/// name a file, and stamp its header, from the first record alone.
+void check_one_logfile(std::span<const TraceRecord> records);
+
 /// Writes `records` — all of one logfile, kept in the order given — as
 /// "<directory>/<logname>.csv": the header row, then one row per record.
 /// Opens, writes and closes the file; returns the bytes written (0, and
-/// no file, for an empty span).
+/// no file, for an empty span). Throws std::runtime_error if the records
+/// span several logfiles (check_one_logfile).
 std::uint64_t write_csv_logfile(const std::filesystem::path& directory,
                                 std::span<const TraceRecord> records);
 

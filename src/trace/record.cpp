@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cstring>
 
-#include "util/csv.hpp"
 #include "util/strings.hpp"
 
 namespace u1 {
@@ -176,81 +175,60 @@ std::vector<std::string> TraceRecord::to_csv() const {
   return f;
 }
 
-namespace {
-
-/// The 24 fields of `r`, in kCsvHeader order, each but the last followed
-/// by ','. `quote_labels` quotes the two free-text columns (ext, fault)
-/// per RFC 4180 when they need it, exactly as CsvWriter would.
-void append_csv_fields(const TraceRecord& r, std::string& out,
-                       bool quote_labels) {
-  const auto label = [&](std::string_view text) {
-    if (quote_labels)
-      append_csv_field(out, text);
-    else
-      out.append(text);
-  };
-  append_u64(out, static_cast<std::uint64_t>(r.t));
-  out.push_back(',');
-  out.append(to_string(r.type));
-  out.push_back(',');
-  append_u64(out, r.machine.value);
-  out.push_back(',');
-  append_u64(out, r.process.value);
-  out.push_back(',');
-  append_u64(out, r.user.value);
-  out.push_back(',');
-  append_u64(out, r.session.value);
-  out.push_back(',');
-  out.append(to_string(r.session_event));
-  out.push_back(',');
-  if (r.type == RecordType::kStorage || r.type == RecordType::kStorageDone)
-    out.append(to_string(r.api_op));
-  out.push_back(',');
-  if (!r.node.is_nil()) append_uuid(out, r.node);
-  out.push_back(',');
-  if (!r.parent.is_nil()) append_uuid(out, r.parent);
-  out.push_back(',');
-  if (!r.volume.is_nil()) append_uuid(out, r.volume);
-  out.push_back(',');
-  if (r.size_bytes > 0) append_u64(out, r.size_bytes);
-  out.push_back(',');
-  if (r.transferred_bytes > 0) append_u64(out, r.transferred_bytes);
-  out.push_back(',');
-  if (!(r.content == ContentId{}))
-    append_hex_bytes(out, r.content.bytes.data(), r.content.bytes.size());
-  out.push_back(',');
-  label(r.extension());
-  out.push_back(',');
-  if (r.is_update) out.push_back('1');
-  out.push_back(',');
-  if (r.is_dir) out.push_back('1');
-  out.push_back(',');
-  if (r.deduplicated) out.push_back('1');
-  out.push_back(',');
-  if (r.failed) out.push_back('1');
-  out.push_back(',');
-  if (r.duration > 0) append_u64(out, static_cast<std::uint64_t>(r.duration));
-  out.push_back(',');
-  if (r.type == RecordType::kRpc) out.append(to_string(r.rpc_op));
-  out.push_back(',');
-  if (r.shard.value > 0) append_u64(out, r.shard.value);
-  out.push_back(',');
-  if (r.service_time > 0) append_u64(out, r.service_time);
-  out.push_back(',');
-  label(r.fault());
-}
-
-}  // namespace
-
 void TraceRecord::append_csv_row(std::string& out) const {
-  // The historical hashing format: every field followed by ',', then
-  // '\n' (note the trailing comma before the newline).
-  append_csv_fields(*this, out, false);
-  out.append(",\n");
-}
-
-void TraceRecord::append_csv_line(std::string& out) const {
-  append_csv_fields(*this, out, true);
+  // Field order and formatting mirror to_csv() exactly; every field is
+  // followed by ',' and the row by '\n' (the historical hashing format —
+  // note the trailing comma before the newline).
+  append_u64(out, static_cast<std::uint64_t>(t));
+  out.push_back(',');
+  out.append(to_string(type));
+  out.push_back(',');
+  append_u64(out, machine.value);
+  out.push_back(',');
+  append_u64(out, process.value);
+  out.push_back(',');
+  append_u64(out, user.value);
+  out.push_back(',');
+  append_u64(out, session.value);
+  out.push_back(',');
+  out.append(to_string(session_event));
+  out.push_back(',');
+  if (type == RecordType::kStorage || type == RecordType::kStorageDone)
+    out.append(to_string(api_op));
+  out.push_back(',');
+  if (!node.is_nil()) append_uuid(out, node);
+  out.push_back(',');
+  if (!parent.is_nil()) append_uuid(out, parent);
+  out.push_back(',');
+  if (!volume.is_nil()) append_uuid(out, volume);
+  out.push_back(',');
+  if (size_bytes > 0) append_u64(out, size_bytes);
+  out.push_back(',');
+  if (transferred_bytes > 0) append_u64(out, transferred_bytes);
+  out.push_back(',');
+  if (!(content == ContentId{}))
+    append_hex_bytes(out, content.bytes.data(), content.bytes.size());
+  out.push_back(',');
+  out.append(extension());
+  out.push_back(',');
+  if (is_update) out.push_back('1');
+  out.push_back(',');
+  if (is_dir) out.push_back('1');
+  out.push_back(',');
+  if (deduplicated) out.push_back('1');
+  out.push_back(',');
+  if (failed) out.push_back('1');
+  out.push_back(',');
+  if (duration > 0) append_u64(out, static_cast<std::uint64_t>(duration));
+  out.push_back(',');
+  if (type == RecordType::kRpc) out.append(to_string(rpc_op));
+  out.push_back(',');
+  if (shard.value > 0) append_u64(out, shard.value);
+  out.push_back(',');
+  if (service_time > 0) append_u64(out, service_time);
+  out.push_back(',');
+  out.append(fault());
+  out.push_back(',');
   out.push_back('\n');
 }
 

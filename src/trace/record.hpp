@@ -172,12 +172,6 @@ struct TraceRecord {
   /// across engine versions. No allocations beyond `out`'s growth.
   void append_csv_row(std::string& out) const;
 
-  /// Appends the record's logfile line to `out`: the to_csv() fields
-  /// joined by ',' (free-text columns quoted when they need it), then
-  /// '\n' — byte-identical to CsvWriter::write_row(to_csv()), without
-  /// the per-field strings.
-  void append_csv_line(std::string& out) const;
-
   /// Parses a row; std::nullopt for malformed rows (the paper reports ~1%
   /// of trace lines failed to parse — the reader counts, not crashes).
   /// Malformed includes: id fields overflowing their packed widths, and

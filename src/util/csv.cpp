@@ -15,27 +15,22 @@ bool needs_quoting(std::string_view field, char delim) {
 
 }  // namespace
 
-void append_csv_field(std::string& out, std::string_view field, char delim) {
-  if (!needs_quoting(field, delim)) {
-    out.append(field);
-    return;
-  }
-  out.push_back('"');
-  for (const char c : field) {
-    if (c == '"') out.push_back('"');
-    out.push_back(c);
-  }
-  out.push_back('"');
-}
-
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
-  std::string line;
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) line.push_back(delim_);
-    append_csv_field(line, fields[i], delim_);
+    if (i > 0) out_->put(delim_);
+    const std::string& f = fields[i];
+    if (needs_quoting(f, delim_)) {
+      out_->put('"');
+      for (const char c : f) {
+        if (c == '"') out_->put('"');
+        out_->put(c);
+      }
+      out_->put('"');
+    } else {
+      out_->write(f.data(), static_cast<std::streamsize>(f.size()));
+    }
   }
-  line.push_back('\n');
-  out_->write(line.data(), static_cast<std::streamsize>(line.size()));
+  out_->put('\n');
 }
 
 bool parse_csv_line(std::string_view line, char delim,

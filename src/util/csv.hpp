@@ -25,11 +25,6 @@ class CsvWriter {
   char delim_;
 };
 
-/// Appends one field to `out`, quoted per RFC 4180 when it contains the
-/// delimiter, a quote or a line break — the bytes CsvWriter writes for it.
-void append_csv_field(std::string& out, std::string_view field,
-                      char delim = ',');
-
 /// Parses a single CSV line into fields, honoring RFC 4180 quoting.
 /// Returns false on malformed input (unterminated quote) — the paper
 /// reports ~1% of trace lines failed parsing, and our reader surfaces the

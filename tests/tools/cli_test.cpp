@@ -291,6 +291,45 @@ TEST_F(CliPipeline, UnwritableOutputIsAnErrorExit) {
   std::filesystem::remove(blocker);
 }
 
+TEST_F(CliPipeline, ConvertRejectsALogfileMixingProcesses) {
+  // Each source logfile is rewritten whole under its own name, so a CSV
+  // whose rows belong to several (machine, process, day) logfiles is an
+  // error exit, not rows filed under the first row's name.
+  std::ostringstream out, err;
+  ASSERT_EQ(run({"generate", "--out", dir_, "--users", "20", "--days", "1",
+                 "--no-ddos"},
+                out, err),
+            0)
+      << err.str();
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(dir_))
+    files.push_back(e.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_GE(files.size(), 2u);
+  std::string foreign_row;
+  {
+    // The last row: one of the trace period, which parses (pre-trace
+    // rows print t < 0 as unsigned and are dropped as malformed).
+    std::ifstream in(files[1]);
+    for (std::string line; std::getline(in, line);)
+      if (!line.empty()) foreign_row = line;
+  }
+  ASSERT_FALSE(foreign_row.empty());
+  std::ofstream(files[0], std::ios::app) << foreign_row << '\n';
+  const std::string foreign = files[1].stem().string();
+  for (const char* to : {"csv", "bin"}) {
+    const std::string conv = dir_ + "_conv";
+    std::filesystem::remove_all(conv);
+    std::ostringstream c_out, c_err;
+    EXPECT_EQ(run({"convert", dir_, "--out", conv, "--to", to}, c_out, c_err),
+              1)
+        << to;
+    EXPECT_TRUE(c_err.str().starts_with("u1trace convert: ")) << c_err.str();
+    EXPECT_NE(c_err.str().find(foreign), std::string::npos) << c_err.str();
+    std::filesystem::remove_all(conv);
+  }
+}
+
 TEST_F(CliPipeline, ConvertRejectsBadArguments) {
   std::ostringstream out, err;
   EXPECT_NE(run({"convert"}, out, err), 0);

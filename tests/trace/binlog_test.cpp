@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -84,6 +85,20 @@ std::vector<TraceRecord> multi_day_stream() {
   return out;
 }
 
+/// Writes each logfile of `records` whole, its records in stream order,
+/// with `write_file`; returns the bytes written.
+template <typename WriteFile>
+std::uint64_t write_per_file(const std::filesystem::path& dir,
+                             const std::vector<TraceRecord>& records,
+                             WriteFile write_file) {
+  std::map<std::string, std::vector<TraceRecord>> files;
+  for (const TraceRecord& r : records) files[r.logname()].push_back(r);
+  std::filesystem::create_directories(dir);
+  std::uint64_t bytes = 0;
+  for (const auto& [name, recs] : files) bytes += write_file(dir, recs);
+  return bytes;
+}
+
 /// SHA-1 over every file in `dir` in name order: name bytes, then content.
 std::string hash_directory(const std::filesystem::path& dir) {
   std::vector<std::filesystem::path> paths;
@@ -136,13 +151,9 @@ class BinlogTest : public ::testing::Test {
     for (std::size_t i = 0; i < 10; ++i)
       records.push_back(
           sample(i, static_cast<RecordType>(i % kRecordTypeCount)));
-    BinaryLogfileWriter writer(dir_);
-    writer.set_stripe_records(stripe_records);
-    writer.append_batch(records.data(), records.size());
-    writer.close();
+    std::filesystem::create_directories(dir_);
+    EXPECT_GT(write_binary_logfile(dir_, records, stripe_records), 0u);
     EXPECT_EQ(count_files(".u1b"), 1u);
-    EXPECT_EQ(writer.records_written(), records.size());
-    EXPECT_GT(writer.bytes_written(), 0u);
     return records;
   }
 
@@ -193,30 +204,115 @@ TEST_F(BinlogTest, ShardsByMachineProcessDayLikeCsv) {
   EXPECT_EQ(sidecars, 4u);
 }
 
-TEST_F(BinlogTest, DayRetiredStreamMatchesOneRecordStripeBaseline) {
+TEST_F(BinlogTest, OneRecordStripesMatchPinnedBytes) {
   // Every record its own stripe: the most stripe headers and dictionary
-  // hand-offs per file. The day-retiring writer must produce the bytes
-  // the per-file streaming writer it replaced did (pinned SHA), and the
-  // bytes of writing each logfile whole.
+  // hand-offs per file. Whole-file writes must produce the bytes of the
+  // per-file streaming writer they replaced (pinned SHA).
   const auto records = multi_day_stream();
+  write_per_file(dir_, records,
+                 [](const std::filesystem::path& dir,
+                    std::span<const TraceRecord> recs) {
+                   return write_binary_logfile(dir, recs, 1);
+                 });
+  EXPECT_EQ(count_files(".u1b"), 84u);
+  EXPECT_EQ(hash_directory(dir_), "0e178755357213f451328385c89aed95021d9540");
+}
+
+TEST_F(BinlogTest, DayRetiredStreamMatchesPerFileWrites) {
+  // The seven-day stream plus one logfile of 2.5 stripes, through the
+  // day-retiring writer: the bytes of writing each logfile whole.
+  auto records = multi_day_stream();
+  for (std::size_t i = 0; i < 5 * kStripeRecords / 2; ++i) {
+    TraceRecord r = sample(i, static_cast<RecordType>(i % kRecordTypeCount),
+                           4, 1);
+    r.t = 2 * kDay + static_cast<SimTime>(i) * 4 * kSecond;
+    records.push_back(r);
+  }
+  std::stable_sort(records.begin(), records.end(),
+                   [](const TraceRecord& a, const TraceRecord& b) {
+                     return a.t < b.t;
+                   });
+  std::uint64_t bytes = 0;
   {
     BinaryLogfileWriter writer(dir_);
-    writer.set_stripe_records(1);
     writer.append_batch(records.data(), records.size());
     writer.close();
     EXPECT_EQ(writer.records_written(), records.size());
+    bytes = writer.bytes_written();
   }
-  EXPECT_EQ(count_files(".u1b"), 84u);
-  EXPECT_EQ(hash_directory(dir_), "0e178755357213f451328385c89aed95021d9540");
-
-  std::map<std::string, std::vector<TraceRecord>> files;
-  for (const TraceRecord& r : records) files[r.logname()].push_back(r);
+  EXPECT_EQ(count_files(".u1b"), 85u);
   const std::filesystem::path whole = dir_.string() + "_whole";
   std::filesystem::remove_all(whole);
-  std::filesystem::create_directories(whole);
-  for (const auto& [name, recs] : files) write_binary_logfile(whole, recs, 1);
+  EXPECT_EQ(write_per_file(whole, records,
+                           [](const std::filesystem::path& dir,
+                              std::span<const TraceRecord> recs) {
+                             return write_binary_logfile(dir, recs);
+                           }),
+            bytes);
   EXPECT_EQ(hash_directory(whole), hash_directory(dir_));
   std::filesystem::remove_all(whole);
+}
+
+TEST_F(BinlogTest, RecordsDaysAheadOfTheStreamAreBuffered) {
+  // A transfer's completion is stamped with its end time, up to days
+  // after the request that emitted it. Several such records per day, two
+  // to five days ahead, must neither retire the day being produced nor
+  // land anywhere but their own logfile, in arrival order.
+  std::vector<TraceRecord> records;
+  for (const TraceRecord& r : multi_day_stream()) {
+    records.push_back(r);
+    if (r.t < 2 * kDay && r.user.value % 7 == 0) {
+      TraceRecord ahead = r;
+      ahead.t += static_cast<SimTime>(2 + r.user.value % 4) * kDay;
+      ahead.user = UserId{r.user.value + 5000};
+      records.push_back(ahead);
+    }
+  }
+  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
+    std::filesystem::remove_all(dir_);
+    {
+      const auto writer = make_logfile_writer(dir_, format);
+      for (const TraceRecord& r : records) writer->append(r);
+      writer->close();
+    }
+    const std::filesystem::path whole = dir_.string() + "_whole";
+    std::filesystem::remove_all(whole);
+    write_per_file(whole, records,
+                   [format](const std::filesystem::path& dir,
+                            std::span<const TraceRecord> recs) {
+                     return format == TraceFormat::kBinary
+                                ? write_binary_logfile(dir, recs)
+                                : write_csv_logfile(dir, recs);
+                   });
+    EXPECT_EQ(hash_directory(whole), hash_directory(dir_))
+        << to_string(format);
+    std::filesystem::remove_all(whole);
+  }
+}
+
+TEST_F(BinlogTest, WholeFileWritersRejectRecordsOfAnotherLogfile) {
+  // A writer names the file, and stamps the .u1b header, from the first
+  // record: a record of another machine, process or day is an error, not
+  // a record silently filed under the wrong name.
+  TraceRecord next_day = sample(1, RecordType::kStorage);
+  next_day.t += kDay;
+  for (const TraceRecord& other :
+       {sample(1, RecordType::kStorage, 2), sample(1, RecordType::kStorage, 1, 8),
+        next_day}) {
+    const std::vector<TraceRecord> records = {sample(0, RecordType::kStorage),
+                                              other};
+    std::filesystem::create_directories(dir_);
+    try {
+      write_binary_logfile(dir_, records);
+      ADD_FAILURE() << "mixed logfile accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(other.logname()),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(write_csv_logfile(dir_, records), std::runtime_error);
+    EXPECT_EQ(count_files(".u1b") + count_files(".csv"), 0u);
+  }
 }
 
 TEST_F(BinlogTest, RecordForRetiredDayThrowsAndLeavesTheFile) {

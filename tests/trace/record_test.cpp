@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <vector>
 
-#include "util/csv.hpp"
 #include "util/sha1.hpp"
 
 namespace u1 {
@@ -197,29 +195,6 @@ TEST(TraceRecord, AppendCsvRowMatchesToCsv) {
     std::string actual;
     r.append_csv_row(actual);
     EXPECT_EQ(actual, expected);
-  }
-}
-
-TEST(TraceRecord, AppendCsvLineMatchesCsvWriter) {
-  // Logfile rows are the bytes CsvWriter::write_row(to_csv()) writes,
-  // free-text columns quoted when they need it.
-  std::vector<TraceRecord> samples;
-  samples.push_back(sample_storage_record());
-  TraceRecord odd_ext = sample_storage_record();
-  odd_ext.set_extension("tar,gz");
-  samples.push_back(odd_ext);
-  TraceRecord fault;
-  fault.t = kHour;
-  fault.type = RecordType::kFault;
-  fault.machine = MachineId{3};
-  fault.set_fault("say \"cut\",\nthen resume");
-  samples.push_back(fault);
-  for (const TraceRecord& r : samples) {
-    std::ostringstream expected;
-    CsvWriter(expected).write_row(r.to_csv());
-    std::string actual;
-    r.append_csv_line(actual);
-    EXPECT_EQ(actual, expected.str());
   }
 }
 
